@@ -11,6 +11,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"involution/internal/journal"
 )
 
 // chainNetlist is a 3-buffer pipeline; driven with a long pulse train it
@@ -86,7 +88,7 @@ func TestKillAndResume(t *testing.T) {
 	killed := false
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		if rows := journalRows(t, ckpt+".idx"); rows >= 3 {
+		if rows := journal.DurableRows(ckpt); rows >= 3 {
 			if err := victim.Process.Signal(syscall.SIGKILL); err == nil {
 				killed = true
 			}
@@ -104,7 +106,7 @@ func TestKillAndResume(t *testing.T) {
 	}
 	<-exited
 	if killed {
-		if rows := journalRows(t, ckpt+".idx"); rows >= 109 {
+		if rows := journal.DurableRows(ckpt); rows >= 109 {
 			t.Log("journal complete despite SIGKILL; resume degrades to full replay")
 		}
 	}
@@ -127,23 +129,6 @@ func TestKillAndResume(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("resumed CSV differs from uninterrupted run (killed=%v):\nwant %d bytes, got %d", killed, len(want), len(got))
 	}
-}
-
-// journalRows reads the durable row count from a checkpoint index, 0 if the
-// index does not exist yet.
-func journalRows(t *testing.T, idxPath string) int {
-	t.Helper()
-	data, err := os.ReadFile(idxPath)
-	if err != nil {
-		return 0
-	}
-	var idx struct {
-		Rows int `json:"rows"`
-	}
-	if err := json.Unmarshal(bytes.TrimSpace(data), &idx); err != nil {
-		return 0
-	}
-	return idx.Rows
 }
 
 // TestInterruptFlushesPartialReport SIGINTs a campaign and verifies the

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,6 +8,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"involution/internal/journal"
 )
 
 // TestAttackLocalDeterministic runs the seeded defeat-spf search twice
@@ -101,14 +102,7 @@ func TestAttackFleetKillResume(t *testing.T) {
 			victim.Process.Kill()
 			t.Fatal("victim never journaled two generations")
 		case <-time.After(2 * time.Millisecond):
-			var idx struct {
-				Rows int `json:"rows"`
-			}
-			raw, err := os.ReadFile(ckpt + ".idx")
-			if err != nil || json.Unmarshal(raw, &idx) != nil {
-				continue
-			}
-			if idx.Rows >= 2 {
+			if journal.DurableRows(ckpt) >= 2 {
 				victim.Process.Signal(syscall.SIGKILL)
 				<-exited
 				killed = true

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"involution/internal/chaos"
+	"involution/internal/journal"
 	"involution/internal/sim"
 )
 
@@ -186,7 +187,7 @@ poll:
 			return s.ctx.Err()
 		case <-time.After(2 * time.Millisecond):
 		}
-		if rows = journalRows(ckpt); rows >= 1 {
+		if rows = journal.DurableRows(ckpt); rows >= 1 {
 			victim.Process.Kill()
 			killed = true
 			<-exited
@@ -194,7 +195,7 @@ poll:
 		}
 	}
 	fmt.Fprintf(s.stdout, "chaos-soak: kill-resume: victim %s with %d durable rows\n",
-		map[bool]string{true: "SIGKILLed", false: "finished before the kill"}[killed], journalRows(ckpt))
+		map[bool]string{true: "SIGKILLed", false: "finished before the kill"}[killed], journal.DurableRows(ckpt))
 
 	out, err := s.sweep("kill-resume", []string{"-chaos", schedPath, "-checkpoint", ckpt, "-resume"})
 	if err != nil {
@@ -277,20 +278,4 @@ func (s *soak) compare(name string, out legResult) error {
 		return fmt.Errorf("%s: JSONL differs from the clean baseline — see %s", name, s.dir)
 	}
 	return nil
-}
-
-// journalRows reads the durable row count from a checkpoint's fsync'd
-// index sidecar (0 when absent or unparseable).
-func journalRows(ckpt string) int {
-	data, err := os.ReadFile(ckpt + ".idx")
-	if err != nil {
-		return 0
-	}
-	var idx struct {
-		Rows int `json:"rows"`
-	}
-	if json.Unmarshal(bytes.TrimSpace(data), &idx) != nil {
-		return 0
-	}
-	return idx.Rows
 }

@@ -1,9 +1,11 @@
 package attack
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"involution/internal/fault"
+	"involution/internal/journal"
 	"involution/internal/netlist"
 	"involution/internal/obs"
 	"involution/internal/signal"
@@ -347,8 +350,85 @@ func TestJournalTornTailAndMismatch(t *testing.T) {
 	// A journal from a different search refuses to resume.
 	other := hdr
 	other.Seed = 99
-	if _, err := OpenJournal(path, true, other); !errors.Is(err, ErrJournalMismatch) {
-		t.Fatalf("seed-mismatched resume: err = %v, want ErrJournalMismatch", err)
+	if _, err := OpenJournal(path, true, other); !errors.Is(err, journal.ErrMismatch) {
+		t.Fatalf("seed-mismatched resume: err = %v, want journal.ErrMismatch", err)
+	}
+}
+
+// TestJournalCorruptionRejected: damage inside the durable prefix is a
+// typed error that leaves the file alone, never a silent truncation that
+// deletes the later durable generations.
+func TestJournalCorruptionRejected(t *testing.T) {
+	hdr := JournalHeader{Objective: "defeat-spf", Searcher: "cem", Seed: 1, Batch: 4}
+	write := func(t *testing.T) (string, []byte) {
+		path := filepath.Join(t.TempDir(), "gen.journal")
+		j, err := OpenJournal(path, false, hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gen := 0; gen < 3; gen++ {
+			e := GenEntry{Gen: gen, Scored: []Scored{{X: []float64{float64(gen)}, Key: fmt.Sprintf("a=%d", gen)}}}
+			if err := j.Append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return path, data
+	}
+
+	t.Run("corrupt row", func(t *testing.T) {
+		path, data := write(t)
+		bad := bytes.Replace(data, []byte(`{"gen":1,`), []byte(`{"gen":1;`), 1)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenJournal(path, true, hdr); !errors.Is(err, journal.ErrMalformed) {
+			t.Fatalf("err = %v, want journal.ErrMalformed", err)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, bad) {
+			t.Fatalf("rejected resume rewrote the journal: %d bytes, was %d", len(after), len(bad))
+		}
+	})
+	t.Run("shorter than index", func(t *testing.T) {
+		path, data := write(t)
+		if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenJournal(path, true, hdr); !errors.Is(err, journal.ErrTruncated) {
+			t.Fatalf("err = %v, want journal.ErrTruncated", err)
+		}
+	})
+}
+
+// TestJournalResumesV1File resumes testdata/v1/gen.journal, written by the
+// pre-internal/journal implementation (its index has no trailing newline).
+func TestJournalResumesV1File(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gen.journal")
+	for _, ext := range []string{"", ".idx"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "v1", "gen.journal"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path+ext, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hdr := JournalHeader{Objective: "defeat-spf", Searcher: "cem", Seed: 1, Batch: 4}
+	j, err := OpenJournal(path, true, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	want := []GenEntry{
+		{Gen: 0, Scored: []Scored{{X: []float64{1}, Key: "a=1", Eval: Eval{Score: 2}}}},
+		{Gen: 1, Scored: []Scored{{X: []float64{2}, Key: "a=2", Eval: Eval{Score: 3, Breaking: true}}}},
+	}
+	if got := j.Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v, want %+v", got, want)
 	}
 }
 

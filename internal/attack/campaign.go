@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
+	"involution/internal/journal"
 	"involution/internal/obs"
 	"involution/internal/obs/tracing"
 	"involution/internal/sched"
@@ -426,8 +426,8 @@ func (r *Result) noteTop(s Scored) {
 	}
 }
 
-// writeProgress atomically replaces the progress file (temp + rename), so
-// `simctl top` readers never observe a torn JSON document.
+// writeProgress atomically replaces the progress file, so `simctl top`
+// readers never observe a torn JSON document.
 func (r *Result) writeProgress(cfg Config, done bool) {
 	if cfg.Progress == "" {
 		return
@@ -454,15 +454,6 @@ func (r *Result) writeProgress(cfg Config, done bool) {
 	if err != nil {
 		return
 	}
-	dir, base := filepath.Split(cfg.Progress)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(append(raw, '\n')); err == nil && tmp.Close() == nil {
-		os.Rename(tmp.Name(), cfg.Progress)
-	} else {
-		tmp.Close()
-		os.Remove(tmp.Name())
-	}
+	// Progress is advisory: a failed write leaves the previous file.
+	_ = journal.WriteAtomic(cfg.Progress, append(raw, '\n'))
 }

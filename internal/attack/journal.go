@@ -1,34 +1,25 @@
 package attack
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
+
+	"involution/internal/journal"
 )
 
-// The generation journal follows the repo's checkpoint discipline
-// (fault.Engine, cluster.Journal): an append-only JSONL file whose first
-// line is a typed header, an atomically replaced side index recording the
-// durable prefix, fsync before the index ever names new bytes, and a
-// tolerant resume that truncates a torn tail back to the index. Unlike the
-// job journals it fsyncs every append — generations are few and each one
-// represents a whole batch of simulations, so coalescing buys nothing.
+// The generation journal is an internal/journal file with a typed search
+// header. Unlike the job journals it is synced on every generation —
+// generations are few and each one represents a whole batch of
+// simulations, so coalescing buys nothing.
 const (
 	journalKind    = "attack-generation-journal"
 	journalVersion = 1
 )
 
-// ErrJournalMismatch marks a resume against a journal written by a
-// different search (objective, searcher, seed or batch changed): replaying
-// it would corrupt the searcher state, so the campaign refuses.
-var ErrJournalMismatch = errors.New("attack: journal belongs to a different search")
-
 // JournalHeader identifies the search a journal belongs to. Every field
-// participates in the resume-compatibility check.
+// participates in the resume-compatibility check: a resume against a
+// journal written by a different search (objective, searcher, seed or
+// batch changed) would corrupt the searcher state, so it fails with
+// journal.ErrMismatch.
 type JournalHeader struct {
 	Kind      string `json:"kind"`
 	Version   int    `json:"version"`
@@ -46,18 +37,9 @@ type GenEntry struct {
 	Scored []Scored `json:"scored"`
 }
 
-type journalIndex struct {
-	Rows  int   `json:"rows"`  // durable generation entries (header excluded)
-	Bytes int64 `json:"bytes"` // durable file prefix, header included
-}
-
 // Journal is the crash-safe generation log of one campaign.
 type Journal struct {
-	f       *os.File
-	path    string
-	bytes   int64
-	rows    int
-	header  JournalHeader
+	j       *journal.Journal
 	entries []GenEntry // entries recovered on resume
 }
 
@@ -69,176 +51,40 @@ type Journal struct {
 func OpenJournal(path string, resume bool, hdr JournalHeader) (*Journal, error) {
 	hdr.Kind = journalKind
 	hdr.Version = journalVersion
-	if resume {
-		if _, err := os.Stat(path); err == nil {
-			return resumeJournal(path, hdr)
-		} else if !errors.Is(err, os.ErrNotExist) {
+	if !resume {
+		j, err := journal.Create(path, hdr)
+		if err != nil {
 			return nil, err
 		}
+		return &Journal{j: j}, nil
 	}
-	return createJournal(path, hdr)
-}
-
-func createJournal(path string, hdr JournalHeader) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	j, lines, err := journal.Resume(path, hdr)
 	if err != nil {
 		return nil, err
 	}
-	line, err := json.Marshal(hdr)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	line = append(line, '\n')
-	if _, err := f.Write(line); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	j := &Journal{f: f, path: path, bytes: int64(len(line)), header: hdr}
-	if err := j.writeIndex(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
-}
-
-func resumeJournal(path string, want JournalHeader) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	// The index names the durable prefix; anything past it is a torn tail
-	// from a crash mid-append and is discarded. A missing index (crash
-	// between file creation and first index write) keeps complete lines.
-	limit := int64(-1)
-	var idx journalIndex
-	if raw, err := os.ReadFile(path + ".idx"); err == nil {
-		if err := json.Unmarshal(raw, &idx); err == nil {
-			limit = idx.Bytes
+	entries := make([]GenEntry, len(lines))
+	for n, line := range lines {
+		if err := json.Unmarshal(line, &entries[n]); err != nil {
+			j.Close()
+			return nil, journal.Errorf(path, journal.ErrMalformed, "generation record %d: %v", n+1, err)
 		}
 	}
-
-	r := bufio.NewReader(io.LimitReader(f, maxInt64IfNeg(limit)))
-	hdrLine, err := r.ReadBytes('\n')
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("attack: journal %s has no header: %w", path, err)
-	}
-	var hdr JournalHeader
-	if err := json.Unmarshal(hdrLine, &hdr); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("attack: journal %s: bad header: %w", path, err)
-	}
-	if hdr.Kind != journalKind || hdr.Version != journalVersion {
-		f.Close()
-		return nil, fmt.Errorf("attack: journal %s is %q v%d, want %q v%d",
-			path, hdr.Kind, hdr.Version, journalKind, journalVersion)
-	}
-	if hdr != want {
-		f.Close()
-		return nil, fmt.Errorf("%w: journal %s holds objective=%s searcher=%s seed=%d batch=%d, campaign wants objective=%s searcher=%s seed=%d batch=%d",
-			ErrJournalMismatch, path,
-			hdr.Objective, hdr.Searcher, hdr.Seed, hdr.Batch,
-			want.Objective, want.Searcher, want.Seed, want.Batch)
-	}
-
-	j := &Journal{f: f, path: path, bytes: int64(len(hdrLine)), header: hdr}
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			// Torn tail (no final newline, or mid-line EOF): not durable.
-			break
-		}
-		var e GenEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			break // corrupt tail row: everything after is suspect
-		}
-		j.entries = append(j.entries, e)
-		j.bytes += int64(len(line))
-		j.rows++
-	}
-	// Make the recovered prefix the physical truth before appending.
-	if err := f.Truncate(j.bytes); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(j.bytes, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := j.writeIndex(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
-}
-
-func maxInt64IfNeg(v int64) int64 {
-	if v < 0 {
-		return 1<<63 - 1
-	}
-	return v
+	return &Journal{j: j, entries: entries}, nil
 }
 
 // Entries returns the generations recovered by a resume, in order.
 func (j *Journal) Entries() []GenEntry { return j.entries }
 
-// Header returns the journal's identifying header.
-func (j *Journal) Header() JournalHeader { return j.header }
+// Len is the number of generation entries in the journal.
+func (j *Journal) Len() int { return j.j.Rows() }
 
-// Len is the number of durable generation entries.
-func (j *Journal) Len() int { return j.rows }
-
-// Append makes one generation durable: row write, fsync, then the index is
-// atomically advanced past it. A crash at any point leaves a resumable
-// file.
+// Append makes one generation durable before it returns.
 func (j *Journal) Append(e GenEntry) error {
-	line, err := json.Marshal(e)
-	if err != nil {
+	if err := j.j.Append(e); err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	if _, err := j.f.Write(line); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	j.bytes += int64(len(line))
-	j.rows++
-	return j.writeIndex()
+	return j.j.Sync()
 }
 
-// writeIndex atomically replaces the side index with the current durable
-// extent (temp file, fsync, rename).
-func (j *Journal) writeIndex() error {
-	raw, err := json.Marshal(journalIndex{Rows: j.rows, Bytes: j.bytes})
-	if err != nil {
-		return err
-	}
-	dir, base := filepath.Split(j.path)
-	tmp, err := os.CreateTemp(dir, base+".idx.tmp*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(raw)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("attack: journal index write failed: %v %v %v", werr, serr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), j.path+".idx"); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// Close releases the journal file. The index already names every durable
-// row, so Close performs no extra flush.
-func (j *Journal) Close() error { return j.f.Close() }
+// Close releases the journal file.
+func (j *Journal) Close() error { return j.j.Close() }

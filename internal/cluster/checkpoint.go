@@ -1,38 +1,24 @@
 package cluster
 
-// Coordinator crash-safety: a content-addressed result journal, the
-// fault.Engine checkpoint discipline ported up to the cluster layer.
+// Coordinator crash-safety: a content-addressed result journal on
+// internal/journal.
 //
-// The journal is an append-only JSONL file: line 1 is a header naming the
-// format, every further line is one *completed* job record keyed by its
-// request's content key (api.Request.RouteKey). Because completed simd
-// results are pure functions of the canonical request, the binding is
-// loose — any sweep or campaign may consult any journal; a key either
-// matches its request or is never looked up — and one journal can back a
-// whole multi-phase sweep.
-//
-// Durability follows internal/fault/checkpoint.go exactly: a sidecar
-// index (<path>.idx) names the durable prefix {rows, bytes} and is
-// replaced atomically (temp file, fsync, rename) only after the journal
-// itself is fsynced. Fsyncs are coalesced — a flush runs per batch of
-// appended rows or flush interval, Θ(flushes) instead of O(rows) — so a
-// SIGKILL of the coordinator can lose the buffered tail as well as leave a
-// half-written one beyond the index; resume truncates the torn bytes away
-// and the coordinator re-dispatches the missing slots, whose results are
-// deterministic and land byte-identical. A journal shorter than its index,
-// a duplicate key, or a record whose result bytes no longer match their
-// integrity hash is corruption and rejects the resume with a typed
-// *CheckpointError.
+// Line 1 is a header naming the format; every further line is one
+// *completed* job record keyed by its request's content key
+// (api.Request.RouteKey). Because completed simd results are pure
+// functions of the canonical request, the binding is loose — any sweep or
+// campaign may consult any journal; a key either matches its request or is
+// never looked up — and one journal can back a whole multi-phase sweep.
+// A SIGKILLed coordinator loses at most the rows past the durable index;
+// on resume it re-dispatches those slots, whose results are deterministic
+// and land byte-identical. A duplicate key or a record whose result bytes
+// no longer match their integrity hash rejects the resume.
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
 	"sync"
-	"time"
 
+	"involution/internal/journal"
 	"involution/internal/server/api"
 )
 
@@ -41,63 +27,9 @@ const (
 	journalVersion = 1
 )
 
-// Fsync coalescing bounds, mirroring internal/fault: a flush (journal
-// fsync + atomic index replace) happens when this many rows have been
-// buffered or this much time has passed since the last flush, whichever
-// comes first.
-const (
-	journalBatchRows     = 32
-	journalFlushInterval = 100 * time.Millisecond
-)
-
-// Checkpoint corruption sentinels; surfaced wrapped in a *CheckpointError,
-// match with errors.Is.
-var (
-	// ErrCheckpointTruncated : the journal is shorter than its fsync'd
-	// index claims — durable data was lost.
-	ErrCheckpointTruncated = errors.New("cluster: checkpoint journal truncated below its durable index")
-	// ErrCheckpointDuplicate : the durable region records a content key
-	// twice.
-	ErrCheckpointDuplicate = errors.New("cluster: checkpoint journal records a content key twice")
-	// ErrCheckpointMismatch : the journal is not a cluster result journal
-	// (or a future incompatible version).
-	ErrCheckpointMismatch = errors.New("cluster: checkpoint journal has the wrong kind or version")
-	// ErrCheckpointMalformed : the journal or its index is not parseable in
-	// its durable region, or a journaled record fails its own integrity
-	// hash.
-	ErrCheckpointMalformed = errors.New("cluster: checkpoint journal malformed")
-)
-
-// CheckpointError is a typed checkpoint load/append failure pinned to the
-// journal path.
-type CheckpointError struct {
-	Path   string
-	Err    error  // an ErrCheckpoint* sentinel or an I/O error
-	Detail string // human-readable specifics
-}
-
-func (e *CheckpointError) Error() string {
-	if e.Detail == "" {
-		return fmt.Sprintf("%v (journal %s)", e.Err, e.Path)
-	}
-	return fmt.Sprintf("%v (journal %s): %s", e.Err, e.Path, e.Detail)
-}
-
-// Unwrap exposes the sentinel for errors.Is.
-func (e *CheckpointError) Unwrap() error { return e.Err }
-
-func ckptErr(path string, sentinel error, format string, args ...any) error {
-	return &CheckpointError{Path: path, Err: sentinel, Detail: fmt.Sprintf(format, args...)}
-}
-
 type journalHeader struct {
 	Kind    string `json:"kind"`
 	Version int    `json:"version"`
-}
-
-type journalIndex struct {
-	Rows  int   `json:"rows"`
-	Bytes int64 `json:"bytes"`
 }
 
 // journalEntry is one durable line after the header.
@@ -109,16 +41,10 @@ type journalEntry struct {
 // Journal is the coordinator's crash-safe result store. Lookup and Append
 // are safe for concurrent use by shard workers.
 type Journal struct {
-	path string
-	f    *os.File
+	j *journal.Journal
 
 	mu   sync.Mutex
-	idx  journalIndex
 	recs map[string]api.Record
-	// pending counts rows written to the OS buffer since the last flush;
-	// lastSync stamps that flush. Both guarded by mu.
-	pending  int
-	lastSync time.Time
 }
 
 // OpenJournal opens the checkpoint at path. With resume true an existing
@@ -126,121 +52,45 @@ type Journal struct {
 // missing journal degrades to a fresh start); with resume false any
 // existing journal is truncated.
 func OpenJournal(path string, resume bool) (*Journal, error) {
+	hdr := journalHeader{Kind: journalKind, Version: journalVersion}
 	if !resume {
-		return createJournal(path)
+		j, err := journal.Create(path, hdr)
+		if err != nil {
+			return nil, err
+		}
+		return &Journal{j: j, recs: make(map[string]api.Record)}, nil
 	}
-	return resumeJournal(path)
-}
-
-func createJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	j, lines, err := journal.Resume(path, hdr)
 	if err != nil {
-		return nil, &CheckpointError{Path: path, Err: err}
-	}
-	line, err := json.Marshal(journalHeader{Kind: journalKind, Version: journalVersion})
-	if err != nil {
-		f.Close()
-		return nil, &CheckpointError{Path: path, Err: err}
-	}
-	line = append(line, '\n')
-	if _, err := f.Write(line); err != nil {
-		f.Close()
-		return nil, &CheckpointError{Path: path, Err: err}
-	}
-	j := &Journal{
-		path: path,
-		f:    f,
-		idx:  journalIndex{Rows: 0, Bytes: int64(len(line))},
-		recs: make(map[string]api.Record),
-	}
-	if err := j.sync(); err != nil {
-		f.Close()
 		return nil, err
 	}
-	return j, nil
-}
-
-func resumeJournal(path string) (*Journal, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		if _, ierr := os.Stat(path + ".idx"); ierr == nil {
-			return nil, ckptErr(path, ErrCheckpointMalformed, "index exists but journal is missing")
-		}
-		return createJournal(path)
-	}
-	if err != nil {
-		return nil, &CheckpointError{Path: path, Err: err}
-	}
-	idxData, err := os.ReadFile(path + ".idx")
-	if err != nil {
-		return nil, ckptErr(path, ErrCheckpointMalformed, "cannot read index: %v", err)
-	}
-	var idx journalIndex
-	if err := json.Unmarshal(bytes.TrimSpace(idxData), &idx); err != nil {
-		return nil, ckptErr(path, ErrCheckpointMalformed, "cannot parse index: %v", err)
-	}
-	if int64(len(data)) < idx.Bytes {
-		return nil, ckptErr(path, ErrCheckpointTruncated, "journal is %d bytes, index names %d durable", len(data), idx.Bytes)
-	}
-
-	durable := data[:idx.Bytes]
-	lines := bytes.Split(durable, []byte("\n"))
-	if len(lines) == 0 || len(lines[len(lines)-1]) != 0 {
-		return nil, ckptErr(path, ErrCheckpointMalformed, "durable region does not end at a record boundary")
-	}
-	lines = lines[:len(lines)-1]
-	if len(lines) != idx.Rows+1 {
-		return nil, ckptErr(path, ErrCheckpointMalformed, "durable region has %d records, index names %d rows", len(lines), idx.Rows+1)
-	}
-
-	var hdr journalHeader
-	if err := json.Unmarshal(lines[0], &hdr); err != nil {
-		return nil, ckptErr(path, ErrCheckpointMalformed, "cannot parse header: %v", err)
-	}
-	if hdr.Kind != journalKind || hdr.Version != journalVersion {
-		return nil, ckptErr(path, ErrCheckpointMismatch, "journal is %q v%d, want %q v%d", hdr.Kind, hdr.Version, journalKind, journalVersion)
-	}
-
-	recs := make(map[string]api.Record, idx.Rows)
-	for n, line := range lines[1:] {
+	recs := make(map[string]api.Record, len(lines))
+	for n, line := range lines {
 		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, ckptErr(path, ErrCheckpointMalformed, "record %d: %v", n+1, err)
+		err := json.Unmarshal(line, &e)
+		_, dup := recs[e.Key]
+		switch {
+		case err != nil:
+			err = journal.Errorf(path, journal.ErrMalformed, "record %d: %v", n+1, err)
+		case e.Key == "":
+			err = journal.Errorf(path, journal.ErrMalformed, "record %d has no content key", n+1)
+		case dup:
+			err = journal.Errorf(path, journal.ErrDuplicate, "content key %.12s… appears twice", e.Key)
+		default:
+			// The journal rode a disk between coordinator lives; a corrupted
+			// checkpoint must not poison a resumed sweep any more than a
+			// corrupted wire reply could.
+			if verr := verifyRecord("journal", &e.Record); verr != nil {
+				err = journal.Errorf(path, journal.ErrMalformed, "record %d (%.12s…): %v", n+1, e.Key, verr)
+			}
 		}
-		if e.Key == "" {
-			return nil, ckptErr(path, ErrCheckpointMalformed, "record %d has no content key", n+1)
-		}
-		if _, dup := recs[e.Key]; dup {
-			return nil, ckptErr(path, ErrCheckpointDuplicate, "content key %.12s… appears twice", e.Key)
-		}
-		// The journal rode a disk between coordinator lives; re-verify the
-		// integrity hash so a corrupted checkpoint cannot poison a resumed
-		// sweep any more than a corrupted wire reply could.
-		if err := verifyRecord("journal", &e.Record); err != nil {
-			return nil, ckptErr(path, ErrCheckpointMalformed, "record %d (%.12s…): %v", n+1, e.Key, err)
+		if err != nil {
+			j.Close()
+			return nil, err
 		}
 		recs[e.Key] = e.Record
 	}
-
-	// Reopen for append, dropping the non-durable tail first.
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, &CheckpointError{Path: path, Err: err}
-	}
-	if err := f.Truncate(idx.Bytes); err != nil {
-		f.Close()
-		return nil, &CheckpointError{Path: path, Err: err}
-	}
-	if _, err := f.Seek(idx.Bytes, 0); err != nil {
-		f.Close()
-		return nil, &CheckpointError{Path: path, Err: err}
-	}
-	j := &Journal{path: path, f: f, idx: idx, recs: recs}
-	if err := j.sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
+	return &Journal{j: j, recs: recs}, nil
 }
 
 // Lookup returns the journaled record for a content key, if present.
@@ -258,88 +108,27 @@ func (j *Journal) Len() int {
 	return len(j.recs)
 }
 
-// Append records one completed record under its content key: the line
-// goes to the OS buffer immediately, but the expensive durability step
-// (fsync + atomic index replace) is coalesced — it runs when
-// journalBatchRows rows have piled up or journalFlushInterval has passed
-// since the last flush. Rows buffered at a SIGKILL re-dispatch
-// deterministically on resume. Re-appending a key already journaled is a
-// no-op (hedges and sweep phases sharing requests make duplicates normal,
-// not corrupt). Only completed records are accepted: aborted outcomes may
-// be node-local accidents and must re-run on resume.
+// Append records one completed record under its content key. Lookup sees
+// it at once; it becomes durable at the journal's next coalesced flush.
+// Re-appending a key already journaled is a no-op (hedges and sweep phases
+// sharing requests make duplicates normal, not corrupt). Only completed
+// records are accepted: aborted outcomes may be node-local accidents and
+// must re-run on resume.
 func (j *Journal) Append(key string, rec api.Record) error {
 	if rec.Status != api.StatusCompleted {
 		return nil
 	}
-	line, err := json.Marshal(journalEntry{Key: key, Record: rec})
-	if err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if _, dup := j.recs[key]; dup {
 		return nil
 	}
-	if _, err := j.f.Write(line); err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
+	if err := j.j.Append(journalEntry{Key: key, Record: rec}); err != nil {
+		return err
 	}
-	j.idx.Rows++
-	j.idx.Bytes += int64(len(line))
-	// The record is in the journal file (dedup must see it) even while its
-	// durability is still pending the next coalesced flush.
 	j.recs[key] = rec
-	j.pending++
-	if j.pending < journalBatchRows && time.Since(j.lastSync) < journalFlushInterval {
-		return nil
-	}
-	return j.sync()
-}
-
-// sync fsyncs the journal and atomically replaces the index file so it
-// never names bytes the journal has not durably absorbed. Callers hold mu.
-func (j *Journal) sync() error {
-	if err := j.f.Sync(); err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	data, err := json.Marshal(j.idx)
-	if err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	tmp := j.path + ".idx.tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	if _, err := tf.Write(append(data, '\n')); err != nil {
-		tf.Close()
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	if err := tf.Close(); err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	if err := os.Rename(tmp, j.path+".idx"); err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	j.pending = 0
-	j.lastSync = time.Now()
 	return nil
 }
 
-// Close flushes any rows still buffered since the last coalesced sync and
-// releases the journal file, so a clean shutdown loses nothing.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.pending > 0 {
-		if err := j.sync(); err != nil {
-			j.f.Close()
-			return err
-		}
-	}
-	return j.f.Close()
-}
+// Close flushes the buffered rows and releases the journal file.
+func (j *Journal) Close() error { return j.j.Close() }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"involution/internal/journal"
 	"involution/internal/server"
 	"involution/internal/server/api"
 )
@@ -131,8 +133,8 @@ func TestJournalCorruptionRejected(t *testing.T) {
 	j.Close()
 	data, _ := os.ReadFile(path)
 	os.WriteFile(path, data[:len(data)-10], 0o644)
-	if _, err := OpenJournal(path, true); !errors.Is(err, ErrCheckpointTruncated) {
-		t.Fatalf("err = %v, want ErrCheckpointTruncated", err)
+	if _, err := OpenJournal(path, true); !errors.Is(err, journal.ErrTruncated) {
+		t.Fatalf("err = %v, want journal.ErrTruncated", err)
 	}
 
 	// A journaled record whose bytes fail their own integrity hash.
@@ -141,8 +143,8 @@ func TestJournalCorruptionRejected(t *testing.T) {
 	j.Close()
 	data, _ = os.ReadFile(path)
 	os.WriteFile(path, []byte(strings.ReplaceAll(string(data), `{"count":111}`, `{"count":999}`)), 0o644)
-	if _, err := OpenJournal(path, true); !errors.Is(err, ErrCheckpointMalformed) {
-		t.Fatalf("err = %v, want ErrCheckpointMalformed (hash mismatch)", err)
+	if _, err := OpenJournal(path, true); !errors.Is(err, journal.ErrMalformed) {
+		t.Fatalf("err = %v, want journal.ErrMalformed (hash mismatch)", err)
 	}
 
 	// Wrong journal kind (same-length rewrite so the index still fits).
@@ -150,15 +152,15 @@ func TestJournalCorruptionRejected(t *testing.T) {
 	j.Close()
 	data, _ = os.ReadFile(path)
 	os.WriteFile(path, []byte(strings.ReplaceAll(string(data), journalKind, "xluster-result-journal")), 0o644)
-	if _, err := OpenJournal(path, true); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("err = %v, want ErrCheckpointMismatch", err)
+	if _, err := OpenJournal(path, true); !errors.Is(err, journal.ErrMismatch) {
+		t.Fatalf("err = %v, want journal.ErrMismatch", err)
 	}
 
 	// Index without a journal.
 	path = filepath.Join(dir, "orphan.ckpt")
 	os.WriteFile(path+".idx", []byte(`{"rows":0,"bytes":10}`), 0o644)
-	if _, err := OpenJournal(path, true); !errors.Is(err, ErrCheckpointMalformed) {
-		t.Fatalf("err = %v, want ErrCheckpointMalformed (orphan index)", err)
+	if _, err := OpenJournal(path, true); !errors.Is(err, journal.ErrMalformed) {
+		t.Fatalf("err = %v, want journal.ErrMalformed (orphan index)", err)
 	}
 }
 
@@ -264,70 +266,37 @@ func TestCoordinatorResumeRedispatchesMissingSlots(t *testing.T) {
 	}
 }
 
-// readIdx parses the sidecar index, or zero values if absent/unparseable.
-func readIdx(t *testing.T, path string) journalIndex {
-	t.Helper()
-	var idx journalIndex
-	data, err := os.ReadFile(path + ".idx")
-	if err != nil {
-		t.Fatalf("reading index: %v", err)
-	}
-	if err := json.Unmarshal(bytes.TrimSpace(data), &idx); err != nil {
-		t.Fatalf("parsing index: %v", err)
-	}
-	return idx
-}
-
+// TestJournalCoalescesFsyncs checks the cluster side of coalesced flushes:
+// Lookup and Len serve every append at once, durable or not, the index
+// never runs ahead of the appends, and Close flushes the buffered tail. The
+// flush triggers themselves are tested in internal/journal.
 func TestJournalCoalescesFsyncs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	j, err := OpenJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin lastSync far in the future so the interval trigger cannot fire
-	// and only the row-count trigger matters.
-	j.mu.Lock()
-	j.lastSync = time.Now().Add(time.Hour)
-	j.mu.Unlock()
-
-	for i := 0; i < journalBatchRows-1; i++ {
-		key := string(rune('a'+i%26)) + string(rune('0'+i/26))
+	n := journal.BatchRows + 1
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("k%02d", i)
 		if err := j.Append(key, completedRecord(t, key, `{"n":1}`)); err != nil {
 			t.Fatal(err)
 		}
+		if j.Len() != i+1 {
+			t.Fatalf("Len = %d after %d appends (lookup must not lag the flush)", j.Len(), i+1)
+		}
+		if d := journal.DurableRows(path); d > i+1 {
+			t.Fatalf("index names %d rows after %d appends", d, i+1)
+		}
 	}
-	// All rows buffered, none durable yet: the index still names 0 rows,
-	// but Lookup already serves every append.
-	if idx := readIdx(t, path); idx.Rows != 0 {
-		t.Fatalf("index names %d rows before the batch filled, want 0", idx.Rows)
-	}
-	if j.Len() != journalBatchRows-1 {
-		t.Fatalf("Len = %d, want %d (lookup must not lag the flush)", j.Len(), journalBatchRows-1)
-	}
-
-	// The batch-filling row triggers a flush; the index catches up.
-	if err := j.Append("last", completedRecord(t, "last", `{"n":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if idx := readIdx(t, path); idx.Rows != journalBatchRows {
-		t.Fatalf("index names %d rows after the batch filled, want %d", idx.Rows, journalBatchRows)
-	}
-
-	// One more buffered row, then Close must flush it.
-	j.mu.Lock()
-	j.lastSync = time.Now().Add(time.Hour)
-	j.mu.Unlock()
-	if err := j.Append("tail", completedRecord(t, "tail", `{"n":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	if idx := readIdx(t, path); idx.Rows != journalBatchRows {
-		t.Fatalf("index advanced to %d rows without a flush trigger", idx.Rows)
+	if d := journal.DurableRows(path); d == 0 {
+		t.Fatalf("%d appends never triggered a flush", n)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if idx := readIdx(t, path); idx.Rows != journalBatchRows+1 {
-		t.Fatalf("index names %d rows after Close, want %d", idx.Rows, journalBatchRows+1)
+	if d := journal.DurableRows(path); d != n {
+		t.Fatalf("index names %d rows after Close, want %d", d, n)
 	}
 
 	// And the flushed journal resumes with every row intact.
@@ -336,7 +305,40 @@ func TestJournalCoalescesFsyncs(t *testing.T) {
 		t.Fatalf("resume: %v", err)
 	}
 	defer j2.Close()
-	if j2.Len() != journalBatchRows+1 {
-		t.Fatalf("resumed Len = %d, want %d", j2.Len(), journalBatchRows+1)
+	if j2.Len() != n {
+		t.Fatalf("resumed Len = %d, want %d", j2.Len(), n)
+	}
+}
+
+// TestJournalResumesV1File resumes testdata/v1/sweep.ckpt, written by the
+// pre-internal/journal implementation.
+func TestJournalResumesV1File(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	for _, ext := range []string{"", ".idx"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "v1", "sweep.ckpt"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path+ext, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	want := map[string]api.Record{
+		"key-a": completedRecord(t, "job-1", `{"status":"completed","events":3}`),
+		"key-b": completedRecord(t, "job-2", `{"status":"completed","events":7}`),
+	}
+	if j.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", j.Len(), len(want))
+	}
+	for key, rec := range want {
+		got, ok := j.Lookup(key)
+		if !ok || string(got.Result) != string(rec.Result) || got.ResultHash != rec.ResultHash {
+			t.Fatalf("Lookup(%s) = %+v, %v; want %+v", key, got, ok, rec)
+		}
 	}
 }

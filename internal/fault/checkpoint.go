@@ -1,28 +1,17 @@
 package fault
 
-// Crash-safe campaign checkpointing.
-//
-// The journal is an append-only JSONL file: line 1 is a header binding the
-// journal to one exact campaign (circuit, seed, horizon, scenario count
-// and a hash of the scenario grid), every further line is one completed
-// Row in completion order. A sidecar index file (<path>.idx) records the
-// durable prefix {rows, bytes}; it is replaced atomically (temp file,
-// fsync, rename) after the journal itself is fsynced, so a reader trusts
-// exactly index.bytes bytes of journal. Bytes beyond the index — the
-// half-written tail a SIGKILL can leave — are not data loss and are
-// truncated away on resume; a journal *shorter* than its index, duplicate
-// rows, or a header that does not match the resuming campaign are
-// corruption and are rejected with a *CheckpointError.
+// Crash-safe campaign checkpointing on internal/journal: the header binds
+// a journal to one exact campaign (circuit, seed, horizon, scenario count
+// and a hash of the scenario grid), every row is one completed Row in
+// completion order. Duplicate rows and scenario ids outside the grid are
+// corruption; rows past the durable index re-run on resume.
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"sync"
-	"time"
+
+	"involution/internal/journal"
 )
 
 const (
@@ -31,8 +20,8 @@ const (
 )
 
 // journalHeader binds a journal to one campaign. Any mismatch on resume is
-// an ErrCheckpointMismatch: rows from a different seed, grid or circuit
-// must never be merged.
+// a journal.ErrMismatch: rows from a different seed, grid or circuit must
+// never be merged.
 type journalHeader struct {
 	Kind      string  `json:"kind"`
 	Version   int     `json:"version"`
@@ -46,53 +35,6 @@ type journalHeader struct {
 	Grid string `json:"grid"`
 }
 
-// journalIndex is the sidecar record of the journal's durable prefix.
-type journalIndex struct {
-	Rows  int   `json:"rows"`
-	Bytes int64 `json:"bytes"`
-}
-
-// Checkpoint corruption sentinels. Each is surfaced wrapped in a
-// *CheckpointError; match with errors.Is.
-var (
-	// ErrCheckpointTruncated : the journal is shorter than its fsync'd
-	// index claims — durable data was lost or the file was tampered with.
-	ErrCheckpointTruncated = errors.New("fault: checkpoint journal truncated below its durable index")
-	// ErrCheckpointDuplicate : the durable region records the same
-	// scenario id twice.
-	ErrCheckpointDuplicate = errors.New("fault: checkpoint journal records a scenario twice")
-	// ErrCheckpointMismatch : the journal belongs to a different campaign
-	// (seed, grid, circuit, horizon or scenario count differ), or records
-	// a scenario id the resuming grid does not contain.
-	ErrCheckpointMismatch = errors.New("fault: checkpoint journal belongs to a different campaign")
-	// ErrCheckpointMalformed : the journal or its index is not parseable
-	// in its durable region (missing index, bad JSON, wrong line count).
-	ErrCheckpointMalformed = errors.New("fault: checkpoint journal malformed")
-)
-
-// CheckpointError is a typed checkpoint load/append failure: a corruption
-// sentinel (or I/O error) pinned to the journal path with detail.
-type CheckpointError struct {
-	Path   string
-	Err    error  // one of the ErrCheckpoint* sentinels or an I/O error
-	Detail string // human-readable specifics
-}
-
-// Error describes the failure.
-func (e *CheckpointError) Error() string {
-	if e.Detail == "" {
-		return fmt.Sprintf("%v (journal %s)", e.Err, e.Path)
-	}
-	return fmt.Sprintf("%v (journal %s): %s", e.Err, e.Path, e.Detail)
-}
-
-// Unwrap exposes the sentinel for errors.Is.
-func (e *CheckpointError) Unwrap() error { return e.Err }
-
-func ckptErr(path string, sentinel error, format string, args ...any) error {
-	return &CheckpointError{Path: path, Err: sentinel, Detail: fmt.Sprintf(format, args...)}
-}
-
 // gridHash fingerprints the scenario grid with FNV-1a.
 func gridHash(scenarios []Scenario) string {
 	h := fnv.New64a()
@@ -102,211 +44,37 @@ func gridHash(scenarios []Scenario) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Fsync coalescing bounds: a flush (journal fsync + atomic index replace)
-// happens when this many rows are buffered or this much time has passed
-// since the last flush, whichever comes first — Θ(flushes) fsyncs instead
-// of O(rows). Rows buffered at crash time are simply absent from the
-// durable index and re-run on resume; campaigns are deterministic, so the
-// merged output is byte-identical either way.
-const (
-	journalBatchRows     = 32
-	journalFlushInterval = 100 * time.Millisecond
-)
-
-// journal is the append side of a checkpoint. Append is safe for
-// concurrent use by the engine's workers.
-type journal struct {
-	path string
-	f    *os.File
-	mu   sync.Mutex
-	idx  journalIndex
-	// pending counts rows written to the OS buffer since the last flush;
-	// lastSync stamps that flush. Both are guarded by mu.
-	pending  int
-	lastSync time.Time
-}
-
-// createJournal starts a fresh journal at path, truncating any previous
-// one, and makes the header durable before returning.
-func createJournal(path string, hdr journalHeader) (*journal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+// openJournal starts the checkpoint at path, or with resume reopens it and
+// returns its durable rows, each checked against the scenario grid (ids
+// must exist in known, at most once).
+func openJournal(path string, hdr journalHeader, resume bool, known map[int]int) (*journal.Journal, []Row, error) {
+	if !resume {
+		j, err := journal.Create(path, hdr)
+		return j, nil, err
+	}
+	j, lines, err := journal.Resume(path, hdr)
 	if err != nil {
-		return nil, &CheckpointError{Path: path, Err: err}
+		return nil, nil, err
 	}
-	line, err := json.Marshal(hdr)
-	if err != nil {
-		f.Close()
-		return nil, &CheckpointError{Path: path, Err: err}
-	}
-	line = append(line, '\n')
-	if _, err := f.Write(line); err != nil {
-		f.Close()
-		return nil, &CheckpointError{Path: path, Err: err}
-	}
-	j := &journal{path: path, f: f, idx: journalIndex{Rows: 0, Bytes: int64(len(line))}}
-	if err := j.sync(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
-}
-
-// Append records one completed row: the line goes to the OS buffer
-// immediately, but the expensive durability step (fsync + atomic index
-// replace) is coalesced — it runs when journalBatchRows rows have piled up
-// or journalFlushInterval has passed since the last flush. Called from
-// multiple workers; serialized here.
-func (j *journal) Append(row Row) error {
-	line, err := json.Marshal(row)
-	if err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	j.idx.Rows++
-	j.idx.Bytes += int64(len(line))
-	j.pending++
-	if j.pending < journalBatchRows && time.Since(j.lastSync) < journalFlushInterval {
-		return nil
-	}
-	return j.sync()
-}
-
-// sync fsyncs the journal and atomically replaces the index file so it
-// never names bytes the journal has not durably absorbed.
-func (j *journal) sync() error {
-	if err := j.f.Sync(); err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	data, err := json.Marshal(j.idx)
-	if err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	tmp := j.path + ".idx.tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	if _, err := tf.Write(append(data, '\n')); err != nil {
-		tf.Close()
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	if err := tf.Close(); err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	if err := os.Rename(tmp, j.path+".idx"); err != nil {
-		return &CheckpointError{Path: j.path, Err: err}
-	}
-	j.pending = 0
-	j.lastSync = time.Now()
-	return nil
-}
-
-// Close flushes any rows still buffered since the last coalesced sync and
-// releases the journal file, so a clean shutdown loses nothing.
-func (j *journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.pending > 0 {
-		if err := j.sync(); err != nil {
-			j.f.Close()
-			return err
-		}
-	}
-	return j.f.Close()
-}
-
-// resumeJournal loads the durable rows of a checkpoint, validates them
-// against the campaign binding and the scenario grid (ids must exist in
-// known), truncates any non-durable tail, and reopens the journal for
-// appending the remainder. A missing journal (and index) is not an error:
-// resume then degrades to a fresh start.
-func resumeJournal(path string, hdr journalHeader, known map[int]int) ([]Row, *journal, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		if _, ierr := os.Stat(path + ".idx"); ierr == nil {
-			return nil, nil, ckptErr(path, ErrCheckpointMalformed, "index exists but journal is missing")
-		}
-		j, err := createJournal(path, hdr)
-		return nil, j, err
-	}
-	if err != nil {
-		return nil, nil, &CheckpointError{Path: path, Err: err}
-	}
-	idxData, err := os.ReadFile(path + ".idx")
-	if err != nil {
-		return nil, nil, ckptErr(path, ErrCheckpointMalformed, "cannot read index: %v", err)
-	}
-	var idx journalIndex
-	if err := json.Unmarshal(bytes.TrimSpace(idxData), &idx); err != nil {
-		return nil, nil, ckptErr(path, ErrCheckpointMalformed, "cannot parse index: %v", err)
-	}
-	if int64(len(data)) < idx.Bytes {
-		return nil, nil, ckptErr(path, ErrCheckpointTruncated, "journal is %d bytes, index names %d durable", len(data), idx.Bytes)
-	}
-
-	durable := data[:idx.Bytes]
-	lines := bytes.Split(durable, []byte("\n"))
-	// A durable region always ends with the newline of its last record.
-	if len(lines) == 0 || len(lines[len(lines)-1]) != 0 {
-		return nil, nil, ckptErr(path, ErrCheckpointMalformed, "durable region does not end at a record boundary")
-	}
-	lines = lines[:len(lines)-1]
-	if len(lines) != idx.Rows+1 {
-		return nil, nil, ckptErr(path, ErrCheckpointMalformed, "durable region has %d records, index names %d rows", len(lines), idx.Rows+1)
-	}
-
-	var got journalHeader
-	if err := json.Unmarshal(lines[0], &got); err != nil {
-		return nil, nil, ckptErr(path, ErrCheckpointMalformed, "cannot parse header: %v", err)
-	}
-	if got != hdr {
-		return nil, nil, ckptErr(path, ErrCheckpointMismatch,
-			"journal header %+v, campaign wants %+v", got, hdr)
-	}
-
-	seen := make(map[int]bool, idx.Rows)
-	rows := make([]Row, 0, idx.Rows)
-	for n, line := range lines[1:] {
+	seen := make(map[int]bool, len(lines))
+	rows := make([]Row, 0, len(lines))
+	for n, line := range lines {
 		var row Row
-		if err := json.Unmarshal(line, &row); err != nil {
-			return nil, nil, ckptErr(path, ErrCheckpointMalformed, "row record %d: %v", n+1, err)
+		err := json.Unmarshal(line, &row)
+		switch _, ok := known[row.ID]; {
+		case err != nil:
+			err = journal.Errorf(path, journal.ErrMalformed, "row record %d: %v", n+1, err)
+		case seen[row.ID]:
+			err = journal.Errorf(path, journal.ErrDuplicate, "scenario id %d appears twice", row.ID)
+		case !ok:
+			err = journal.Errorf(path, journal.ErrMismatch, "scenario id %d is not in the campaign grid", row.ID)
 		}
-		if seen[row.ID] {
-			return nil, nil, ckptErr(path, ErrCheckpointDuplicate, "scenario id %d appears twice", row.ID)
-		}
-		if _, ok := known[row.ID]; !ok {
-			return nil, nil, ckptErr(path, ErrCheckpointMismatch, "scenario id %d is not in the campaign grid", row.ID)
+		if err != nil {
+			j.Close()
+			return nil, nil, err
 		}
 		seen[row.ID] = true
 		rows = append(rows, row)
 	}
-
-	// Reopen for append, dropping the non-durable tail first.
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, &CheckpointError{Path: path, Err: err}
-	}
-	if err := f.Truncate(idx.Bytes); err != nil {
-		f.Close()
-		return nil, nil, &CheckpointError{Path: path, Err: err}
-	}
-	if _, err := f.Seek(idx.Bytes, 0); err != nil {
-		f.Close()
-		return nil, nil, &CheckpointError{Path: path, Err: err}
-	}
-	j := &journal{path: path, f: f, idx: idx}
-	if err := j.sync(); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return rows, j, nil
+	return j, rows, nil
 }

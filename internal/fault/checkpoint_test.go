@@ -8,6 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"involution/internal/journal"
+	"involution/internal/obs"
 )
 
 // writeJournal materializes a journal + index as the engine would have left
@@ -31,11 +34,8 @@ func writeJournal(t *testing.T, path string, hdr journalHeader, rows []Row) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := json.Marshal(journalIndex{Rows: len(rows), Bytes: int64(len(buf))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path+".idx", append(idx, '\n'), 0o644); err != nil {
+	idx := fmt.Sprintf(`{"rows":%d,"bytes":%d}`+"\n", len(rows), len(buf))
+	if err := os.WriteFile(path+".idx", []byte(idx), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,6 +113,67 @@ func TestCheckpointResumeFreshWhenAbsent(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeWithoutIndex covers a kill between the header write
+// and the first index replace: the journal is durable up to its header, so
+// resume runs the whole campaign instead of refusing.
+func TestCheckpointResumeWithoutIndex(t *testing.T) {
+	camp, scs := testCampaign(t)
+	ref, err := camp.Run(scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "campaign.ckpt")
+	writeJournal(t, path, camp.binding(scs), ref.Rows[:4])
+	if err := os.Remove(path + ".idx"); err != nil {
+		t.Fatal(err)
+	}
+	eng := &Engine{Campaign: camp, Opts: Options{Workers: 2, Checkpoint: path, Resume: true}}
+	rep, err := eng.Run(context.Background(), scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv, _ := renderReport(t, rep)
+	refCSV, _ := renderReport(t, ref)
+	if csv != refCSV {
+		t.Error("resume without an index differs from uninterrupted run")
+	}
+}
+
+// TestCheckpointResumesV1File resumes testdata/v1/campaign.ckpt, written by
+// the pre-internal/journal implementation: five rows out of completion
+// order plus a torn tail. The resumed report must equal a fresh run.
+func TestCheckpointResumesV1File(t *testing.T) {
+	camp, scs := testCampaign(t)
+	ref, err := camp.Run(scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "campaign.ckpt")
+	for _, name := range []string{"campaign.ckpt", "campaign.ckpt.idx"} {
+		data, err := os.ReadFile(filepath.Join("testdata", "v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(filepath.Dir(path), name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	eng := &Engine{Campaign: camp, Opts: Options{Workers: 2, Checkpoint: path, Resume: true, Registry: reg}}
+	rep, err := eng.Run(context.Background(), scs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("fault_engine_replayed_total", "").Value(); got != 5 {
+		t.Errorf("replayed %d rows, want 5", got)
+	}
+	csv, _ := renderReport(t, rep)
+	refCSV, _ := renderReport(t, ref)
+	if csv != refCSV {
+		t.Error("resume of a v1 checkpoint differs from uninterrupted run")
+	}
+}
+
 func resumeErr(t *testing.T, camp *Campaign, scs []Scenario, path string) error {
 	t.Helper()
 	eng := &Engine{Campaign: camp, Opts: Options{Workers: 1, Checkpoint: path, Resume: true}}
@@ -120,9 +181,9 @@ func resumeErr(t *testing.T, camp *Campaign, scs []Scenario, path string) error 
 	if err == nil {
 		t.Fatal("corrupt checkpoint accepted")
 	}
-	var ce *CheckpointError
-	if !errors.As(err, &ce) {
-		t.Fatalf("not a *CheckpointError: %v", err)
+	var je *journal.Error
+	if !errors.As(err, &je) {
+		t.Fatalf("not a *journal.Error: %v", err)
 	}
 	return err
 }
@@ -143,8 +204,8 @@ func TestCheckpointTruncatedJournalRejected(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-10], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := resumeErr(t, camp, scs, path); !errors.Is(err, ErrCheckpointTruncated) {
-		t.Fatalf("want ErrCheckpointTruncated, got %v", err)
+	if err := resumeErr(t, camp, scs, path); !errors.Is(err, journal.ErrTruncated) {
+		t.Fatalf("want journal.ErrTruncated, got %v", err)
 	}
 }
 
@@ -156,8 +217,8 @@ func TestCheckpointDuplicateScenarioRejected(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
 	writeJournal(t, path, camp.binding(scs), []Row{ref.Rows[0], ref.Rows[1], ref.Rows[0]})
-	if err := resumeErr(t, camp, scs, path); !errors.Is(err, ErrCheckpointDuplicate) {
-		t.Fatalf("want ErrCheckpointDuplicate, got %v", err)
+	if err := resumeErr(t, camp, scs, path); !errors.Is(err, journal.ErrDuplicate) {
+		t.Fatalf("want journal.ErrDuplicate, got %v", err)
 	}
 }
 
@@ -180,8 +241,8 @@ func TestCheckpointForeignCampaignRejected(t *testing.T) {
 			mutate(&hdr)
 			path := filepath.Join(t.TempDir(), "campaign.ckpt")
 			writeJournal(t, path, hdr, ref.Rows[:2])
-			if err := resumeErr(t, camp, scs, path); !errors.Is(err, ErrCheckpointMismatch) {
-				t.Fatalf("want ErrCheckpointMismatch, got %v", err)
+			if err := resumeErr(t, camp, scs, path); !errors.Is(err, journal.ErrMismatch) {
+				t.Fatalf("want journal.ErrMismatch, got %v", err)
 			}
 		})
 	}
@@ -197,35 +258,21 @@ func TestCheckpointUnknownScenarioRejected(t *testing.T) {
 	alien.ID = 9999
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
 	writeJournal(t, path, camp.binding(scs), []Row{alien})
-	if err := resumeErr(t, camp, scs, path); !errors.Is(err, ErrCheckpointMismatch) {
-		t.Fatalf("want ErrCheckpointMismatch, got %v", err)
+	if err := resumeErr(t, camp, scs, path); !errors.Is(err, journal.ErrMismatch) {
+		t.Fatalf("want journal.ErrMismatch, got %v", err)
 	}
 }
 
 func TestCheckpointMalformedRejected(t *testing.T) {
 	camp, scs := testCampaign(t)
 	dir := t.TempDir()
-
-	// Journal without its index: the durable prefix is unknowable.
-	orphan := filepath.Join(dir, "orphan.ckpt")
-	hdr, err := json.Marshal(camp.binding(scs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(orphan, append(hdr, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := resumeErr(t, camp, scs, orphan); !errors.Is(err, ErrCheckpointMalformed) {
-		t.Fatalf("orphan journal: want ErrCheckpointMalformed, got %v", err)
-	}
-
 	// Index without its journal.
 	widow := filepath.Join(dir, "widow.ckpt")
 	if err := os.WriteFile(widow+".idx", []byte(`{"rows":1,"bytes":10}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := resumeErr(t, camp, scs, widow); !errors.Is(err, ErrCheckpointMalformed) {
-		t.Fatalf("widowed index: want ErrCheckpointMalformed, got %v", err)
+	if err := resumeErr(t, camp, scs, widow); !errors.Is(err, journal.ErrMalformed) {
+		t.Fatalf("widowed index: want journal.ErrMalformed, got %v", err)
 	}
 
 	// Garbage inside the durable region.
@@ -238,8 +285,8 @@ func TestCheckpointMalformedRejected(t *testing.T) {
 	if err := os.WriteFile(garbled+".idx", []byte(idx), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := resumeErr(t, camp, scs, garbled); !errors.Is(err, ErrCheckpointMalformed) {
-		t.Fatalf("garbled journal: want ErrCheckpointMalformed, got %v", err)
+	if err := resumeErr(t, camp, scs, garbled); !errors.Is(err, journal.ErrMalformed) {
+		t.Fatalf("garbled journal: want journal.ErrMalformed, got %v", err)
 	}
 }
 
@@ -251,7 +298,7 @@ func TestCheckpointJournalWrittenDuringRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, j, err := resumeJournal(path, camp.binding(scs), scenarioIndex(scs))
+	j, rows, err := openJournal(path, camp.binding(scs), true, scenarioIndex(scs))
 	if err != nil {
 		t.Fatal(err)
 	}

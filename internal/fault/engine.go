@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"involution/internal/journal"
 	"involution/internal/obs"
 	"involution/internal/obs/tracing"
 	"involution/internal/sched"
@@ -29,14 +30,14 @@ type Options struct {
 	// aborts. Values below 2 are raised to the default 2.
 	RetryFactor int
 	// Checkpoint is the path of the crash-safe journal: every completed
-	// row is appended (and fsynced) as it finishes, so a killed campaign
-	// can restart from the journal instead of from scratch. Empty disables
-	// checkpointing.
+	// row is appended as it finishes (fsyncs coalesced), so a killed
+	// campaign can restart from the journal instead of from scratch. Empty
+	// disables checkpointing.
 	Checkpoint string
 	// Resume replays the completed rows recorded in Checkpoint and runs
 	// only the remainder. The journal must belong to this exact campaign
 	// (circuit, seed, horizon and scenario grid are verified); corruption
-	// is rejected with a *CheckpointError, never silently merged.
+	// is rejected with a *journal.Error, never silently merged.
 	Resume bool
 	// Registry, when non-nil, receives live engine metrics: completed /
 	// replayed / retried scenario counters and an attempts histogram.
@@ -166,29 +167,21 @@ func (e *Engine) Run(ctx context.Context, scenarios []Scenario) (*Report, error)
 	rows := make([]Row, len(scenarios))
 	done := make([]bool, len(scenarios))
 
-	var j *journal
+	var j *journal.Journal
 	if opts.Checkpoint != "" {
-		hdr := c.binding(scenarios)
-		if opts.Resume {
-			var replayed []Row
-			replayed, j, err = resumeJournal(opts.Checkpoint, hdr, index)
-			if err != nil {
-				return nil, err
-			}
-			for _, row := range replayed {
-				i := index[row.ID]
-				rows[i] = row
-				done[i] = true
-				met.incReplayed()
-				met.observeAttempts(row.Attempts)
-			}
-		} else {
-			j, err = createJournal(opts.Checkpoint, hdr)
-			if err != nil {
-				return nil, err
-			}
+		var replayed []Row
+		j, replayed, err = openJournal(opts.Checkpoint, c.binding(scenarios), opts.Resume, index)
+		if err != nil {
+			return nil, err
 		}
 		defer j.Close()
+		for _, row := range replayed {
+			i := index[row.ID]
+			rows[i] = row
+			done[i] = true
+			met.incReplayed()
+			met.observeAttempts(row.Attempts)
+		}
 	}
 
 	var pending []int

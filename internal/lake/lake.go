@@ -28,16 +28,16 @@
 //
 // # Durability
 //
-// The index discipline is the one internal/fault and internal/cluster
-// checkpoints use: the index is replaced atomically (temp file, fsync,
-// rename) and names only bytes the segment files have durably absorbed;
-// fsyncs are coalesced over a small row/interval batch. On open, entries
-// beyond a segment's durable prefix are recovered tolerantly — a complete,
-// well-formed tail entry is kept (every read re-verifies its payload hash
-// anyway), the first torn or malformed entry truncates the rest. A torn
-// write can therefore cost the buffered tail, never a corrupt hit: Get
-// recomputes the payload's SHA-256 on every read and quarantines (drops,
-// counts, refuses to serve) any entry that fails.
+// The index follows internal/journal's protocol: it is replaced with
+// journal.WriteAtomic and names only bytes the segment files have durably
+// absorbed; fsyncs are coalesced at journal.BatchRows/FlushInterval.
+// Unlike a journal, the scan on open is tolerant: beyond a segment's
+// durable prefix a complete, well-formed entry is kept (every read
+// re-verifies its payload hash anyway), and the first torn or malformed
+// entry truncates the rest. A torn write can therefore cost the buffered
+// tail, never a corrupt hit: Get recomputes the payload's SHA-256 on every
+// read and quarantines (drops, counts, refuses to serve) any entry that
+// fails.
 //
 // # Concurrency
 //
@@ -63,6 +63,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"involution/internal/journal"
 )
 
 const (
@@ -71,14 +73,6 @@ const (
 	indexVersion = 1
 	segPrefix    = "seg-"
 	segSuffix    = ".lake"
-)
-
-// Fsync coalescing bounds, mirroring the checkpoint journals: a flush
-// (segment fsync + atomic index replace) runs when this many entries have
-// been buffered or this much time has passed, whichever comes first.
-const (
-	batchRows     = 32
-	flushInterval = 100 * time.Millisecond
 )
 
 // ErrReadOnly reports a mutation attempted on a read-only lake.
@@ -494,7 +488,7 @@ func (l *Lake) Put(key, circuit, class string, payload []byte) error {
 	if err := l.gcLocked(); err != nil {
 		return err
 	}
-	if l.pending >= batchRows || time.Since(l.lastSync) >= flushInterval {
+	if l.pending >= journal.BatchRows || time.Since(l.lastSync) >= journal.FlushInterval {
 		return l.syncLocked()
 	}
 	return nil
@@ -553,24 +547,7 @@ func (l *Lake) syncLocked() error {
 	if err != nil {
 		return fmt.Errorf("lake: %w", err)
 	}
-	path := filepath.Join(l.dir, indexName)
-	tmp := path + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("lake: %w", err)
-	}
-	if _, err := tf.Write(append(raw, '\n')); err != nil {
-		tf.Close()
-		return fmt.Errorf("lake: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return fmt.Errorf("lake: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("lake: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := journal.WriteAtomic(filepath.Join(l.dir, indexName), append(raw, '\n')); err != nil {
 		return fmt.Errorf("lake: %w", err)
 	}
 	l.pending = 0

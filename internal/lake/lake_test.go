@@ -76,7 +76,7 @@ func TestPutGetReopen(t *testing.T) {
 func TestReopenWithoutClose(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, Options{Dir: dir})
-	const n = 5 // below batchRows: nothing was fsync'd or indexed
+	const n = 5 // below journal.BatchRows: nothing was fsync'd or indexed
 	for i := 0; i < n; i++ {
 		if err := l.Put(testKey(i), "chain", "", testPayload(i)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
