@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 
 	"involution/internal/cluster"
@@ -128,7 +127,7 @@ func (o *ClassFlip) baseline(ctx context.Context, eval Evaluator) (map[string]si
 
 // request renders one (at, width) candidate as an instrumented job.
 func (o *ClassFlip) request(at, width float64) (api.Request, error) {
-	ov, err := fault.SET{At: at, Width: width}.Overlay(o.site, rand.New(rand.NewSource(1)))
+	ov, err := fault.SET{At: at, Width: width}.Overlay(o.site, fault.ScenarioRand(1))
 	if err != nil {
 		return api.Request{}, err
 	}

@@ -126,13 +126,18 @@ func baseURL(node string) string {
 // the backoff step and the server's Retry-After; terminal refusals (4xx)
 // and context cancellation return immediately.
 func (c *Client) Submit(ctx context.Context, node string, req api.Request) (api.Record, error) {
-	body, err := json.Marshal(req)
+	body, key, err := req.Encode()
 	if err != nil {
 		return api.Record{}, fmt.Errorf("cluster: encoding request: %w", err)
 	}
-	key := req.RouteKey()
+	return c.submit(ctx, node, body, key)
+}
+
+// submit is Submit for a request already encoded by api.Request.Encode:
+// body is its JSON and key its RouteKey.
+func (c *Client) submit(ctx context.Context, node string, body []byte, key string) (api.Record, error) {
 	var rec api.Record
-	err = c.do(ctx, node, func(actx context.Context) error {
+	err := c.do(ctx, node, func(actx context.Context) error {
 		rec = api.Record{}
 		if err := c.postJSON(actx, node, "/v1/jobs?wait=1", body, key, &rec); err != nil {
 			return err

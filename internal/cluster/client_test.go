@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
@@ -151,5 +154,58 @@ func TestClientConnectionRefused(t *testing.T) {
 	var se *StatusError
 	if errors.As(err, &se) {
 		t.Fatalf("transport failure should not be a StatusError: %v", err)
+	}
+}
+
+// TestRouteKeyPinned pins one RouteKey byte for byte — consistent-hash
+// routing and cross-run lake dedup both depend on keys never drifting —
+// and checks that the coordinator's one-marshal submit path sends exactly
+// that key and a body that hashes to it.
+func TestRouteKeyPinned(t *testing.T) {
+	const pinned = "691bb85f0eb66f5f4d63b6f1f570ca0e853aae93443eaf127a7c68c89b036620"
+	req := api.Request{
+		Netlist:    bufNetlist,
+		Inputs:     map[string]string{"i": "0 r@1 f@2", "__ctl": "0 r@3 f@3.5"},
+		Horizon:    10,
+		MaxEvents:  5000,
+		DeadlineMS: 250,
+	}
+	if got := req.RouteKey(); got != pinned {
+		t.Fatalf("RouteKey = %s, want %s", got, pinned)
+	}
+	body, key, err := req.Encode()
+	if err != nil || key != pinned {
+		t.Fatalf("Encode key = %s (err %v), want %s", key, err, pinned)
+	}
+	if sum := sha256.Sum256(body); hex.EncodeToString(sum[:]) != pinned {
+		t.Fatal("Encode body does not hash to its key")
+	}
+
+	s := server.New(server.Config{Workers: 1})
+	var sentKey, sentBody atomic.Value
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost {
+			raw, _ := io.ReadAll(r.Body)
+			sentKey.Store(r.Header.Get(api.ContentKeyHeader))
+			sentBody.Store(string(raw))
+			r.Body = io.NopCloser(bytes.NewReader(raw))
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		hs.Close()
+		s.Drain(5 * time.Second)
+	})
+	coord := newTestCoordinator(t, Options{Peers: []string{hs.Listener.Addr().String()}})
+	// The node refuses the request (no port __ctl in bufNetlist) with a
+	// terminal 400; only what the coordinator sent matters here.
+	if _, err := coord.RunOne(context.Background(), req); !isTerminalRequestError(err) {
+		t.Fatalf("RunOne: %v, want the node's 400", err)
+	}
+	if got := sentKey.Load(); got != pinned {
+		t.Fatalf("coordinator sent content key %v, want %s", got, pinned)
+	}
+	if got := sentBody.Load(); got != string(body) {
+		t.Fatalf("coordinator sent body %v, want %s", got, body)
 	}
 }

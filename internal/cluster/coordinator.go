@@ -235,7 +235,12 @@ func (c *Coordinator) Run(ctx context.Context, reqs []api.Request, workers int) 
 // preference order through the shared sched.Ladder; request errors (4xx)
 // are terminal. Stragglers are hedged onto the next closed-breaker node.
 func (c *Coordinator) RunOne(ctx context.Context, req api.Request) (api.Record, error) {
-	key := req.RouteKey()
+	// One marshal per shard: the body every attempt and hedge sends, and
+	// the routing key derived from it.
+	body, key, err := req.Encode()
+	if err != nil {
+		return api.Record{}, fmt.Errorf("cluster: encoding request: %w", err)
+	}
 	// Crash-safe replay: a shard the journal already holds completed in a
 	// previous coordinator life; surface it without touching the network.
 	if c.journal != nil {
@@ -291,7 +296,7 @@ func (c *Coordinator) RunOne(ctx context.Context, req api.Request) (api.Record, 
 			}
 		}
 		cursor = idx + 1 // a reschedule starts at the next distinct node
-		rec, lastErr = c.attempt(ctx, primary, c.peek(prefs, idx), req)
+		rec, lastErr = c.attempt(ctx, primary, c.peek(prefs, idx), body, key)
 		switch {
 		case lastErr == nil:
 			return sched.Done
@@ -380,11 +385,11 @@ func isTerminalRequestError(err error) bool {
 		se.Code != http.StatusTooManyRequests
 }
 
-// attempt submits req to primary, hedging a duplicate onto partner when
-// the primary outlives the hedge delay. The first success wins and
-// cancels the loser; breaker bookkeeping ignores the loser's induced
-// cancellation.
-func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, req api.Request) (api.Record, error) {
+// attempt submits the encoded request (body, with its RouteKey key) to
+// primary, hedging a duplicate onto partner when the primary outlives the
+// hedge delay. The first success wins and cancels the loser; breaker
+// bookkeeping ignores the loser's induced cancellation.
+func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, body []byte, key string) (api.Record, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -413,7 +418,7 @@ func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, req a
 				return
 			}
 			defer nd.release()
-			rec, err := c.client.Submit(sctx, nd.addr, req)
+			rec, err := c.client.submit(sctx, nd.addr, body, key)
 			if err != nil {
 				sp.SetAttrs(tracing.Str("error", err.Error()))
 				sp.SetAbort(abortClassOf(sctx, err))

@@ -4,8 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"strconv"
+	"strings"
+	"sync"
 
 	"involution/internal/fault"
 	"involution/internal/netlist"
@@ -34,6 +35,12 @@ const tapPrefix = "__tap_"
 // unlike signals — are not comparable between local and remote runs. They
 // are still deterministic for a fixed executor configuration, so sharded
 // reports remain byte-identical across node counts.
+//
+// The instrumented netlist of a scenario depends only on its site, overlay
+// gate, control initial value and probes, so the executor renders each
+// such document once and reuses its text for every scenario that shares
+// it; only the control stimulus is rendered per scenario. Doc and Inputs
+// must therefore not change after the first Execute.
 type CampaignExecutor struct {
 	// Coord routes the instrumented jobs to the fleet.
 	Coord *Coordinator
@@ -42,6 +49,51 @@ type CampaignExecutor struct {
 	Doc *netlist.Document
 	// Inputs is the campaign stimulus set (Campaign.Inputs).
 	Inputs map[string]signal.Signal
+
+	// mu guards the memo below: fault.Engine workers share the executor.
+	mu     sync.Mutex
+	stim   map[string]string // Inputs in signal syntax, rendered once
+	instrs map[instrKey]*instrumented
+}
+
+// instrKey identifies one instrumented document of the campaign.
+type instrKey struct {
+	site    fault.Site
+	gate    string       // overlay gate, by its netlist name
+	ctlInit signal.Value // the control stimulus's initial value
+	probes  string       // probe names, NUL-joined
+}
+
+// instrumented is one rendered InstrumentOverlay result.
+type instrumented struct {
+	netlist string
+	taps    map[string]string // tap output → probe node
+}
+
+// instrument returns the memoized instrumented document for the overlay
+// and the rendered campaign stimuli. Failures are not memoized; they are
+// deterministic and cheap to reproduce.
+func (e *CampaignExecutor) instrument(site fault.Site, ov fault.Overlay, probes []string) (*instrumented, map[string]string, error) {
+	key := instrKey{site: site, gate: ov.Gate.Name, ctlInit: ov.Ctl.Initial(), probes: strings.Join(probes, "\x00")}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.stim == nil {
+		e.stim = make(map[string]string, len(e.Inputs))
+		for name, sig := range e.Inputs {
+			e.stim[name] = sig.String()
+		}
+		e.instrs = make(map[instrKey]*instrumented)
+	}
+	if in, ok := e.instrs[key]; ok {
+		return in, e.stim, nil
+	}
+	doc, taps, err := InstrumentOverlay(e.Doc, e.Inputs, site, ov, probes)
+	if err != nil {
+		return nil, nil, err
+	}
+	in := &instrumented{netlist: doc.String(), taps: taps}
+	e.instrs[key] = in
+	return in, e.stim, nil
 }
 
 // Execute implements fault.Executor: it instruments Doc with the
@@ -54,28 +106,27 @@ func (e *CampaignExecutor) Execute(ctx context.Context, sc fault.Scenario, seed 
 	}
 	// Consume randomness exactly as the local Instrument path does, so the
 	// remote scenario is the same experiment under the same seed.
-	rng := rand.New(rand.NewSource(seed))
-	ov, err := ovf.Overlay(sc.Site, rng)
+	ov, err := ovf.Overlay(sc.Site, fault.ScenarioRand(seed))
 	if err != nil {
 		// Invalid parameters: fall back so the local path reports the
 		// canonical "instrument" abort row.
 		return nil, sim.RunStats{}, fmt.Errorf("%w: %v", fault.ErrNotRemotable, err)
 	}
-	doc, taps, err := InstrumentOverlay(e.Doc, e.Inputs, sc.Site, ov, probes)
+	in, inputs, err := e.instrument(sc.Site, ov, probes)
 	if err != nil {
 		return nil, sim.RunStats{}, err
 	}
 
-	stim := make(map[string]string, len(e.Inputs)+1)
-	for name, sig := range e.Inputs {
-		stim[name] = sig.String()
+	stim := make(map[string]string, len(inputs)+1)
+	for name, text := range inputs {
+		stim[name] = text
 	}
 	stim[fault.CtlInput] = ov.Ctl.String()
 	// No Request.Seed: the netlist bakes in every random stream (channel
 	// seed= options; the overlay consumed the scenario seed above), so
 	// scenarios that map to the same document are legitimate cache hits.
 	req := api.Request{
-		Netlist:    doc.String(),
+		Netlist:    in.netlist,
 		Inputs:     stim,
 		Horizon:    opts.Horizon,
 		MaxEvents:  opts.MaxEvents,
@@ -103,7 +154,7 @@ func (e *CampaignExecutor) Execute(ctx context.Context, sc fault.Scenario, seed 
 		if err != nil {
 			return nil, payload.Stats, fmt.Errorf("cluster: bad remote signal for %q: %w", name, err)
 		}
-		if probe, ok := taps[name]; ok {
+		if probe, ok := in.taps[name]; ok {
 			name = probe
 		}
 		sigs[name] = sig

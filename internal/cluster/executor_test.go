@@ -236,3 +236,63 @@ func TestExecutorWrapperFaultNotRemotable(t *testing.T) {
 		t.Fatalf("err %v, want ErrNotRemotable", err)
 	}
 }
+
+// TestExecutorSETGridByteIdentical runs a SET grid over every site of the
+// Fig. 5 SPF netlist through the fleet and through the local engine, and
+// requires byte-identical reports. The probes are output ports only, so
+// the remote documents carry no taps and even the run statistics must
+// agree. The grid is run twice through one executor: the second pass
+// reuses every memoized document (one per site) and must not change a
+// byte either.
+func TestExecutorSETGridByteIdentical(t *testing.T) {
+	doc, sys, err := experiments.SPFNetlist("uniform", 3)
+	if err != nil {
+		t.Fatalf("SPFNetlist: %v", err)
+	}
+	c, err := doc.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	camp := &fault.Campaign{
+		Circuit: c,
+		Inputs:  map[string]signal.Signal{"i": signal.MustPulse(2, 30)},
+		Horizon: 300,
+		Seed:    11,
+		Probes:  []string{"o"},
+	}
+	a := sys.Analysis
+	var models []fault.Model
+	for _, w := range []float64{0.5 * a.CancelBound, a.CancelBound, 0.5 * (a.CancelBound + a.LockBound), 2 * a.LockBound} {
+		models = append(models, fault.SET{At: 40, Width: w}, fault.SET{At: 40, Width: w, Jitter: 5})
+	}
+	sites := fault.Sites(c)
+	scenarios := fault.Grid(sites, models)
+
+	report := func(eng *fault.Engine) []byte {
+		t.Helper()
+		rep, err := eng.Run(context.Background(), scenarios)
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	local := report(&fault.Engine{Campaign: camp, Opts: fault.Options{Workers: 1}})
+
+	eng := remoteEngine(t, camp, doc, 2)
+	for pass := 0; pass < 2; pass++ {
+		if got := report(eng); !bytes.Equal(got, local) {
+			t.Fatalf("pass %d: remote report differs from local:\n%s\nvs\n%s", pass, got, local)
+		}
+	}
+	exec := eng.Opts.Executor.(*CampaignExecutor)
+	if n := len(exec.instrs); n != len(sites) {
+		t.Fatalf("executor memo holds %d documents, want one per site (%d)", n, len(sites))
+	}
+}

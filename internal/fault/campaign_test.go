@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -197,5 +198,36 @@ func TestReportRegister(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("fault_scenarios_total not registered")
+	}
+}
+
+// TestScenarioRandStream pins ScenarioRand to the stream of
+// rand.New(rand.NewSource(seed)) across every draw kind, including a
+// reseed before and after the first draw: the local and remote scenario
+// paths depend on consuming exactly that stream.
+func TestScenarioRandStream(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		got, want := ScenarioRand(seed), rand.New(rand.NewSource(seed))
+		check := func(step string, g, w any) {
+			t.Helper()
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("seed %d, %s: ScenarioRand gave %v, rand.NewSource %v", seed, step, g, w)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			check("Float64", got.Float64(), want.Float64())
+			check("Int63", got.Int63(), want.Int63())
+			check("Uint64", got.Uint64(), want.Uint64())
+			check("Intn", got.Intn(1000), want.Intn(1000))
+			check("Perm", got.Perm(8), want.Perm(8))
+		}
+		got.Seed(seed + 1)
+		want.Seed(seed + 1)
+		check("Int63 after Seed", got.Int63(), want.Int63())
+
+		// A reseed before any draw must also take effect.
+		got, want = ScenarioRand(seed), rand.New(rand.NewSource(seed+2))
+		got.Seed(seed + 2)
+		check("Float64 after early Seed", got.Float64(), want.Float64())
 	}
 }

@@ -59,6 +59,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -239,6 +240,13 @@ func (l *Lake) load() error {
 		return err
 	}
 	for _, name := range names {
+		num, err := segNumber(name)
+		if err != nil {
+			// Not a segment this lake wrote: quarantine it (leave it on
+			// disk unread) rather than guess its place in the sequence.
+			l.corrupt.Add(1)
+			continue
+		}
 		path := filepath.Join(l.dir, name)
 		f, err := os.Open(path)
 		if err != nil {
@@ -290,7 +298,7 @@ func (l *Lake) load() error {
 		}
 		l.segs = append(l.segs, seg)
 		l.bytes += seg.size
-		if num := segNumber(name); num >= l.nextSeg {
+		if num >= l.nextSeg {
 			l.nextSeg = num + 1
 		}
 	}
@@ -696,11 +704,19 @@ func (l *Lake) closeFiles() {
 	}
 }
 
-// segNumber parses the numeric part of a segment name (0 when malformed).
-func segNumber(name string) int {
-	var n int
-	fmt.Sscanf(name, segPrefix+"%d", &n)
-	return n
+// segNumber parses the sequence number of a segment file name
+// (seg-<digits>.lake). Any other name is an error: it is not a segment
+// this lake wrote.
+func segNumber(name string) (int, error) {
+	digits, ok := strings.CutPrefix(name, segPrefix)
+	if ok {
+		digits, ok = strings.CutSuffix(digits, segSuffix)
+	}
+	n, err := strconv.Atoi(digits)
+	if !ok || err != nil || n < 0 || strings.HasPrefix(digits, "+") {
+		return 0, fmt.Errorf("lake: malformed segment name %q", name)
+	}
+	return n, nil
 }
 
 func max64(a, b int64) int64 {

@@ -376,3 +376,51 @@ func TestScanOrderStable(t *testing.T) {
 		t.Fatalf("scan order:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestSegNumber pins the segment-name grammar: seg-<digits>.lake and
+// nothing else.
+func TestSegNumber(t *testing.T) {
+	for name, want := range map[string]int{"seg-00000001.lake": 1, "seg-00000042.lake": 42, "seg-7.lake": 7} {
+		if got, err := segNumber(name); err != nil || got != want {
+			t.Errorf("segNumber(%q) = %d, %v; want %d", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"seg-.lake", "seg-7x.lake", "seg--1.lake", "seg-+1.lake", "seg-1.lake.bak", "seg-99999999999999999999.lake", "lake.idx"} {
+		if got, err := segNumber(name); err == nil {
+			t.Errorf("segNumber(%q) = %d, want an error", name, got)
+		}
+	}
+}
+
+// TestMalformedSegmentNameQuarantined plants a copy of a real segment
+// under a malformed seg-*.lake name: reopen must quarantine it (counted
+// corrupt, never read), keep every real entry, and keep numbering new
+// segments after the real ones.
+func TestMalformedSegmentNameQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, Options{Dir: dir})
+	if err := l.Put(testKey(0), "chain", "", testPayload(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, "seg-00000001.lake"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "seg-9x.lake"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := mustOpen(t, Options{Dir: dir})
+	if s := r.Stats(); s.Corrupt != 1 {
+		t.Fatalf("stats after reopen: %+v, want one quarantined segment", s)
+	}
+	if got, ok := r.Get(testKey(0)); !ok || !bytes.Equal(got, testPayload(0)) {
+		t.Fatalf("real entry lost: ok=%v got=%s", ok, got)
+	}
+	if r.nextSeg != 2 {
+		t.Fatalf("next segment number %d, want 2", r.nextSeg)
+	}
+}

@@ -96,11 +96,26 @@ type Request struct {
 func (r Request) RouteKey() string {
 	raw, err := json.Marshal(r)
 	if err != nil {
-		// Request is a plain data struct; Marshal cannot fail on it. Keep a
-		// deterministic fallback anyway.
+		// Marshal fails only on a non-finite Horizon, which every node
+		// refuses anyway. Keep a deterministic key for it.
 		raw = []byte(err.Error())
 	}
-	sum := sha256.Sum256(raw)
+	return routeKeyOf(raw)
+}
+
+// Encode returns the request's JSON body and its RouteKey from one
+// marshal — what a client needs to route and send a request. It fails
+// only on a non-finite Horizon.
+func (r Request) Encode() (body []byte, key string, err error) {
+	body, err = json.Marshal(r)
+	if err != nil {
+		return nil, "", err
+	}
+	return body, routeKeyOf(body), nil
+}
+
+func routeKeyOf(body []byte) string {
+	sum := sha256.Sum256(body)
 	return hex.EncodeToString(sum[:])
 }
 

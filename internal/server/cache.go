@@ -4,154 +4,124 @@ import (
 	"container/list"
 	"encoding/json"
 	"sync"
+
+	"involution/internal/circuit"
 )
 
-// resultCache is a byte-bounded LRU of serialized results keyed by the
-// canonical request hash. Values are the exact bytes served to the first
-// client, so a cache hit is byte-identical to the original result by
-// construction. The bound is the sum of cached payload bytes — one huge
-// trace can no longer blow memory while tiny results under-fill an
-// entry-count bound. Each entry also carries the payload's precomputed
-// ResultHash so the hit path never re-compacts or re-hashes the bytes.
-type resultCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	order    *list.List               // front = most recently used
-	byKey    map[string]*list.Element // value: *cacheEntry
+// lru is the server's one bounded memo: a mutex-guarded LRU map whose
+// bound is the summed cost of its entries, not their count. Each memo
+// picks its own cost — payload bytes for the result cache, netlist bytes
+// for the compiled-netlist memo, 1 for the request-body memo — so one
+// huge entry cannot blow memory while tiny ones under-fill an entry
+// count. An entry costing more than the whole bound is refused rather
+// than wiping the memo for one uncacheable giant.
+type lru[V any] struct {
+	mu    sync.Mutex
+	max   int64 // bound on the summed entry cost; ≤ 0 disables the memo
+	cost  int64 // summed cost of the held entries
+	order *list.List
+	byKey map[string]*list.Element // value: *lruEntry[V]; front of order = most recently used
 }
 
-type cacheEntry struct {
+type lruEntry[V any] struct {
 	key  string
-	val  json.RawMessage
-	hash string // api.ResultHashOf(val), computed once at insert
+	val  V
+	cost int64
 }
 
-func newResultCache(maxBytes int64) *resultCache {
-	return &resultCache{maxBytes: maxBytes, order: list.New(), byKey: make(map[string]*list.Element)}
+func newLRU[V any](max int64) *lru[V] {
+	return &lru[V]{max: max, order: list.New(), byKey: make(map[string]*list.Element)}
 }
 
-// get returns the cached result bytes and their ResultHash, marking the
-// entry most recently used.
-func (c *resultCache) get(key string) (json.RawMessage, string, bool) {
-	if c == nil {
-		return nil, "", false
-	}
+// get returns the value under key, marking it most recently used.
+func (c *lru[V]) get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		return nil, "", false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.val, e.hash, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put stores the result bytes, evicting least recently used entries until
-// the byte bound holds again. A payload larger than the whole bound is
-// refused rather than wiping the cache for one uncacheable giant.
-func (c *resultCache) put(key string, val json.RawMessage, hash string) {
-	if c == nil || c.maxBytes <= 0 || int64(len(val)) > c.maxBytes {
+// put stores val under key (replacing any previous value), then evicts
+// least recently used entries until the cost bound holds again.
+func (c *lru[V]) put(key string, val V, cost int64) {
+	if c.max <= 0 || cost > c.max {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
-		c.bytes += int64(len(val)) - int64(len(e.val))
-		e.val, e.hash = val, hash
+		e := el.Value.(*lruEntry[V])
+		c.cost += cost - e.cost
+		e.val, e.cost = val, cost
 		c.order.MoveToFront(el)
 	} else {
-		c.byKey[key] = c.order.PushFront(&cacheEntry{key: key, val: val, hash: hash})
-		c.bytes += int64(len(val))
+		c.byKey[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val, cost: cost})
+		c.cost += cost
 	}
-	for c.bytes > c.maxBytes {
-		last := c.order.Back()
-		e := last.Value.(*cacheEntry)
-		c.order.Remove(last)
+	for c.cost > c.max {
+		e := c.order.Remove(c.order.Back()).(*lruEntry[V])
 		delete(c.byKey, e.key)
-		c.bytes -= int64(len(e.val))
+		c.cost -= e.cost
 	}
 }
 
-// len returns the number of cached results.
-func (c *resultCache) len() int {
-	if c == nil {
-		return 0
-	}
+// len returns the number of held entries.
+func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
 }
 
-// size returns the cached payload bytes currently held.
-func (c *resultCache) size() int64 {
-	if c == nil {
-		return 0
-	}
+// size returns the summed cost of the held entries.
+func (c *lru[V]) size() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.bytes
+	return c.cost
+}
+
+// cachedResult is one result-cache entry, keyed by the canonical request
+// hash. raw is the exact bytes served to the first client, so a cache hit
+// is byte-identical to the original result by construction; hash is
+// api.ResultHashOf(raw), computed once at insert so the hit path never
+// re-compacts or re-hashes the bytes. Its cost is len(raw).
+type cachedResult struct {
+	raw  json.RawMessage
+	hash string
 }
 
 // canonMemoMax bounds the request-body memo. Entries are three small
 // strings, so even the full table is a few hundred KiB.
 const canonMemoMax = 4096
 
-// canonMemo is the fast-path memo of the submit handler: it maps the
-// SHA-256 of a raw request body to the canonical hash (and circuit name)
-// that compiling that body produced, so a repeated identical submit skips
-// JSON decode, netlist parse, circuit build, and canonical re-marshal
-// entirely — the cache hit costs one hash of the bytes on the wire.
-// Entries are only inserted after a successful compile, so a memoized
-// body is by construction a valid request whose canonical form is hash.
-type canonMemo struct {
-	mu    sync.Mutex
-	max   int
-	order *list.List               // front = most recently used
-	byKey map[string]*list.Element // value: *memoEntry
-}
-
+// memoEntry is one request-body memo entry: the fast path of the submit
+// handler maps the SHA-256 of a raw request body to the canonical hash
+// (and circuit name) that compiling that body produced, so a repeated
+// identical submit skips JSON decode, netlist parse, circuit build, and
+// canonical re-marshal entirely — the cache hit costs one hash of the
+// bytes on the wire. Entries are only inserted after a successful compile,
+// so a memoized body is by construction a valid request whose canonical
+// form is hash. Each costs 1: the bound is canonMemoMax entries.
 type memoEntry struct {
-	key  string // hex sha256 of the raw request body
 	hash string // canonical request hash (the result-cache key)
 	name string // circuit name, for the job record
 }
 
-func newCanonMemo(max int) *canonMemo {
-	return &canonMemo{max: max, order: list.New(), byKey: make(map[string]*list.Element)}
-}
+// netlistMemoBytes bounds the compiled-netlist memo by the summed bytes of
+// its keys (submitted and canonical netlist texts). A built circuit holds
+// about 7× its text (2 KB for the 280-byte Fig. 5 SPF netlist), so a full
+// memo holds ~8 MB; a campaign needs one entry per distinct netlist.
+const netlistMemoBytes = 1 << 20
 
-func (m *canonMemo) get(key string) (hash, name string, ok bool) {
-	if m == nil {
-		return "", "", false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el, found := m.byKey[key]
-	if !found {
-		return "", "", false
-	}
-	m.order.MoveToFront(el)
-	e := el.Value.(*memoEntry)
-	return e.hash, e.name, true
-}
-
-func (m *canonMemo) put(key, hash, name string) {
-	if m == nil || m.max <= 0 {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.byKey[key]; ok {
-		m.order.MoveToFront(el)
-		return
-	}
-	m.byKey[key] = m.order.PushFront(&memoEntry{key: key, hash: hash, name: name})
-	for m.order.Len() > m.max {
-		last := m.order.Back()
-		m.order.Remove(last)
-		delete(m.byKey, last.Value.(*memoEntry).key)
-	}
+// compiledNetlist is one netlist's parse → build → format result, shared
+// by every job that submits the netlist. The circuit is read-only under
+// sim.Run — channel instances and adversary state come from
+// Model.NewInstance on every run — so concurrent jobs can share it.
+type compiledNetlist struct {
+	circuit *circuit.Circuit
+	canon   string // canonical netlist text (netlist.Document.String)
 }

@@ -28,11 +28,14 @@ func TestCacheConcurrentEvictionAtCapacity(t *testing.T) {
 		perG       = 200
 	)
 	entryBytes := int64(len(val(0, 0)))
-	c := newResultCache(capacity * entryBytes)
+	c := newLRU[cachedResult](capacity * entryBytes)
+	put := func(key string, raw json.RawMessage, hash string) {
+		c.put(key, cachedResult{raw: raw, hash: hash}, int64(len(raw)))
+	}
 
 	// Pre-fill to capacity so every concurrent put below evicts.
 	for i := 0; i < capacity; i++ {
-		c.put(testHash("seed", i), val(999, i), "")
+		put(testHash("seed", i), val(999, i), "")
 	}
 	if got := c.len(); got != capacity {
 		t.Fatalf("pre-fill len = %d, want %d", got, capacity)
@@ -45,15 +48,15 @@ func TestCacheConcurrentEvictionAtCapacity(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				key := testHash(fmt.Sprintf("g%d", g), i)
-				c.put(key, val(g, i), "rh")
+				put(key, val(g, i), "rh")
 				// Immediately reading back may miss (another goroutine can
 				// evict it), but a hit must return the exact bytes.
-				if got, rh, ok := c.get(key); ok {
-					if string(got) != string(val(g, i)) {
-						t.Errorf("get(%s) = %s, want %s", key, got, val(g, i))
+				if got, ok := c.get(key); ok {
+					if string(got.raw) != string(val(g, i)) {
+						t.Errorf("get(%s) = %s, want %s", key, got.raw, val(g, i))
 					}
-					if rh != "rh" {
-						t.Errorf("get(%s) hash = %q, want %q", key, rh, "rh")
+					if got.hash != "rh" {
+						t.Errorf("get(%s) hash = %q, want %q", key, got.hash, "rh")
 					}
 				}
 				// Touch an unrelated seed key to churn the LRU order.
@@ -75,14 +78,14 @@ func TestCacheConcurrentEvictionAtCapacity(t *testing.T) {
 	}
 	var sum int64
 	for key, el := range c.byKey {
-		e := el.Value.(*cacheEntry)
+		e := el.Value.(*lruEntry[cachedResult])
 		if e.key != key {
 			t.Fatalf("entry under key %s carries key %s", key, e.key)
 		}
-		sum += int64(len(e.val))
+		sum += int64(len(e.val.raw))
 	}
-	if sum != c.bytes {
-		t.Fatalf("byte accounting drifted: entries sum to %d, counter says %d", sum, c.bytes)
+	if sum != c.cost {
+		t.Fatalf("byte accounting drifted: entries sum to %d, counter says %d", sum, c.cost)
 	}
 	c.mu.Unlock()
 
@@ -91,11 +94,11 @@ func TestCacheConcurrentEvictionAtCapacity(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		for i := 0; i < perG; i++ {
 			key := testHash(fmt.Sprintf("g%d", g), i)
-			if got, _, ok := c.get(key); ok {
+			if got, ok := c.get(key); ok {
 				seen++
 				want := string(val(g, i))
-				if string(got) != want {
-					t.Fatalf("survivor %s = %s, want %s", key, got, want)
+				if string(got.raw) != want {
+					t.Fatalf("survivor %s = %s, want %s", key, got.raw, want)
 				}
 			}
 		}
@@ -109,46 +112,49 @@ func TestCacheConcurrentEvictionAtCapacity(t *testing.T) {
 // lacked: a few huge payloads evict many small ones, an oversized payload
 // is refused outright, and replacement adjusts the accounting.
 func TestCacheByteBoundMixedSizes(t *testing.T) {
-	c := newResultCache(1 << 10)
+	c := newLRU[cachedResult](1 << 10)
+	put := func(key string, raw json.RawMessage) {
+		c.put(key, cachedResult{raw: raw}, int64(len(raw)))
+	}
 	small := json.RawMessage(`{"s":1}`)
 	for i := 0; i < 64; i++ {
-		c.put(testHash("small", i), small, "")
+		put(testHash("small", i), small)
 	}
 	if got := c.size(); got != 64*int64(len(small)) {
 		t.Fatalf("size = %d, want %d", got, 64*int64(len(small)))
 	}
 	big := json.RawMessage(fmt.Sprintf(`{"big":%q}`, strings.Repeat("x", 400)))
-	c.put(testHash("big", 0), big, "")
-	c.put(testHash("big", 1), big, "")
+	put(testHash("big", 0), big)
+	put(testHash("big", 1), big)
 	if got := c.size(); got > 1<<10 {
 		t.Fatalf("size = %d exceeds bound after big puts", got)
 	}
-	if _, _, ok := c.get(testHash("big", 1)); !ok {
+	if _, ok := c.get(testHash("big", 1)); !ok {
 		t.Fatal("most recent big entry evicted")
 	}
-	if _, _, ok := c.get(testHash("small", 0)); ok {
+	if _, ok := c.get(testHash("small", 0)); ok {
 		t.Fatal("oldest small entry survived big puts that exceeded the bound")
 	}
 
 	// Oversized: refused, nothing else disturbed.
 	before := c.len()
-	c.put(testHash("huge", 0), json.RawMessage(make([]byte, 2<<10)), "")
+	put(testHash("huge", 0), json.RawMessage(make([]byte, 2<<10)))
 	if c.len() != before {
 		t.Fatal("oversized put changed the cache")
 	}
-	if _, _, ok := c.get(testHash("huge", 0)); ok {
+	if _, ok := c.get(testHash("huge", 0)); ok {
 		t.Fatal("oversized payload cached")
 	}
 
 	// Replacing a key with a different-size payload keeps accounting exact.
-	c.put(testHash("big", 1), small, "")
+	put(testHash("big", 1), small)
 	c.mu.Lock()
 	var sum int64
 	for _, el := range c.byKey {
-		sum += int64(len(el.Value.(*cacheEntry).val))
+		sum += int64(len(el.Value.(*lruEntry[cachedResult]).val.raw))
 	}
-	if sum != c.bytes {
-		t.Fatalf("accounting after replace: sum %d, counter %d", sum, c.bytes)
+	if sum != c.cost {
+		t.Fatalf("accounting after replace: sum %d, counter %d", sum, c.cost)
 	}
 	c.mu.Unlock()
 }
@@ -156,20 +162,20 @@ func TestCacheByteBoundMixedSizes(t *testing.T) {
 // TestCanonMemo checks the submit fast-path memo: bounded, LRU, and a
 // miss after eviction.
 func TestCanonMemo(t *testing.T) {
-	m := newCanonMemo(2)
-	m.put("a", "hash-a", "chain")
-	m.put("b", "hash-b", "spf")
-	if h, n, ok := m.get("a"); !ok || h != "hash-a" || n != "chain" {
-		t.Fatalf("get a = %q %q %v", h, n, ok)
+	m := newLRU[memoEntry](2)
+	m.put("a", memoEntry{hash: "hash-a", name: "chain"}, 1)
+	m.put("b", memoEntry{hash: "hash-b", name: "spf"}, 1)
+	if e, ok := m.get("a"); !ok || e.hash != "hash-a" || e.name != "chain" {
+		t.Fatalf("get a = %+v %v", e, ok)
 	}
-	m.put("c", "hash-c", "ring") // evicts b (a was just touched)
-	if _, _, ok := m.get("b"); ok {
+	m.put("c", memoEntry{hash: "hash-c", name: "ring"}, 1) // evicts b (a was just touched)
+	if _, ok := m.get("b"); ok {
 		t.Fatal("b survived past the bound")
 	}
-	if _, _, ok := m.get("a"); !ok {
+	if _, ok := m.get("a"); !ok {
 		t.Fatal("a evicted despite being most recently used")
 	}
-	if _, _, ok := m.get("c"); !ok {
+	if _, ok := m.get("c"); !ok {
 		t.Fatal("c missing")
 	}
 }

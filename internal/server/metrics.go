@@ -25,6 +25,8 @@ type metrics struct {
 	cacheMisses   *obs.Counter
 	lakePutErrors *obs.Counter
 	queueFull     *obs.Counter
+	netlistHits   *obs.Counter
+	netlistMisses *obs.Counter
 
 	// The shed counter family: one counter per refusal reason (the registry
 	// has no label support, so the reason rides in the name — the
@@ -63,6 +65,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 		cacheMisses:   reg.Counter("simd_cache_misses_total", "submissions that had to run"),
 		lakePutErrors: reg.Counter("simd_lake_put_errors_total", "completed results that failed to write through to the lake"),
 		queueFull:     reg.Counter("simd_queue_full_total", "submissions rejected because the job queue was full"),
+		netlistHits:   reg.Counter("simd_netlist_memo_hits_total", "netlist submissions that reused an already built circuit"),
+		netlistMisses: reg.Counter("simd_netlist_memo_misses_total", "netlist submissions that had to parse and build their circuit"),
 
 		shedTotal:      reg.Counter("simd_shed_total", "submissions shed for any reason (sum of the simd_shed_<reason>_total family)"),
 		shedRate:       reg.Counter("simd_shed_rate_total", "submissions refused by a tenant's request-rate limit (429)"),

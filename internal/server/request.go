@@ -72,15 +72,12 @@ func (s *Server) compile(req Request) (*compiled, error) {
 		if req.Adversary != "" {
 			return nil, badRequest("adversary applies to built-in circuits; netlists configure adversaries per channel")
 		}
-		doc, err := netlist.ParseDocument(strings.NewReader(req.Netlist))
+		nl, err := s.compileNetlist(req.Netlist)
 		if err != nil {
-			return nil, badRequest("%v", err)
+			return nil, err
 		}
-		c.circuit, err = doc.Build()
-		if err != nil {
-			return nil, badRequest("%v", err)
-		}
-		c.req.Netlist = doc.String()
+		c.circuit = nl.circuit
+		c.req.Netlist = nl.canon
 	default:
 		b, ok := s.builtin(req.Circuit)
 		if !ok {
@@ -132,6 +129,41 @@ func (s *Server) compile(req Request) (*compiled, error) {
 	sum := sha256.Sum256(canon)
 	c.hash = hex.EncodeToString(sum[:])
 	return c, nil
+}
+
+// compileNetlist parses, builds and canonically formats a netlist,
+// memoized by its text: a campaign that resubmits one netlist with only
+// the stimuli changing pays the compile once. A text that misses is still
+// looked up by its canonical form after the parse, so every spelling of
+// one netlist shares one built circuit. Only netlists that compiled are
+// memoized, so a bad one is rejected afresh on every submit.
+func (s *Server) compileNetlist(text string) (*compiledNetlist, error) {
+	if nl, ok := s.netlists.get(text); ok {
+		s.met.netlistHits.Inc()
+		return nl, nil
+	}
+	doc, err := netlist.ParseDocument(strings.NewReader(text))
+	if err != nil {
+		s.met.netlistMisses.Inc()
+		return nil, badRequest("%v", err)
+	}
+	canon := doc.String()
+	nl, ok := s.netlists.get(canon)
+	if ok {
+		s.met.netlistHits.Inc()
+	} else {
+		s.met.netlistMisses.Inc()
+		c, err := doc.Build()
+		if err != nil {
+			return nil, badRequest("%v", err)
+		}
+		nl = &compiledNetlist{circuit: c, canon: canon}
+		s.netlists.put(canon, nl, int64(len(canon)))
+	}
+	if text != canon {
+		s.netlists.put(text, nl, int64(len(text)))
+	}
+	return nl, nil
 }
 
 func contains(list []string, s string) bool {

@@ -117,15 +117,16 @@ const (
 // Server is the simulation service. Create with New, mount Handler, and
 // Drain on shutdown.
 type Server struct {
-	cfg    Config
-	reg    *obs.Registry
-	met    *metrics
-	pool   *sched.Pool
-	cache  *resultCache
-	memo   *canonMemo              // raw body bytes → canonical hash (submit fast path)
-	lk     *lake.Lake              // nil: RAM tier only
-	flight *tracing.FlightRecorder // nil: tracing disabled
-	node   string                  // span node label (Advertise or "simd")
+	cfg      Config
+	reg      *obs.Registry
+	met      *metrics
+	pool     *sched.Pool
+	cache    *lru[cachedResult]      // canonical hash → result bytes
+	memo     *lru[memoEntry]         // raw body bytes → canonical hash (submit fast path)
+	netlists *lru[*compiledNetlist]  // netlist text → built circuit
+	lk       *lake.Lake              // nil: RAM tier only
+	flight   *tracing.FlightRecorder // nil: tracing disabled
+	node     string                  // span node label (Advertise or "simd")
 
 	admit   *admission.Controller // nil: permissive
 	limiter *admission.AIMD       // nil: fixed-width pool
@@ -179,8 +180,9 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      cfg.Registry,
 		pool:     sched.NewPool(cfg.Workers, cfg.QueueDepth),
-		cache:    newResultCache(cfg.CacheBytes),
-		memo:     newCanonMemo(canonMemoMax),
+		cache:    newLRU[cachedResult](cfg.CacheBytes),
+		memo:     newLRU[memoEntry](canonMemoMax),
+		netlists: newLRU[*compiledNetlist](netlistMemoBytes),
 		lk:       cfg.Lake,
 		builtins: defaultBuiltins(),
 		jobs:     make(map[string]*job),
@@ -301,10 +303,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// successfully, so skipping validation here cannot admit a bad request.
 	bodySum := sha256.Sum256(body)
 	bodyKey := hex.EncodeToString(bodySum[:])
-	if hash, name, ok := s.memo.get(bodyKey); ok {
-		if raw, rhash, tier, ok := s.cacheGet(hash); ok {
+	if m, ok := s.memo.get(bodyKey); ok {
+		if raw, rhash, tier, ok := s.cacheGet(m.hash); ok {
 			s.met.submitted.Inc()
-			s.serveCached(w, &compiled{hash: hash, name: name}, raw, rhash, tier, remote, t0)
+			s.serveCached(w, &compiled{hash: m.hash, name: m.name}, raw, rhash, tier, remote, t0)
 			return
 		}
 	}
@@ -326,7 +328,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.memo.put(bodyKey, c.hash, c.name)
+	s.memo.put(bodyKey, memoEntry{hash: c.hash, name: c.name}, 1)
 	s.met.submitted.Inc()
 
 	q := r.URL.Query()
@@ -427,13 +429,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // payload was hash-verified by the lake, so promotion cannot launder a
 // corrupt record into the RAM tier.
 func (s *Server) cacheGet(hash string) (raw json.RawMessage, rhash, tier string, ok bool) {
-	if raw, rhash, ok := s.cache.get(hash); ok {
-		return raw, rhash, api.TierMem, true
+	if e, ok := s.cache.get(hash); ok {
+		return e.raw, e.hash, api.TierMem, true
 	}
 	if s.lk != nil {
 		if payload, ok := s.lk.Get(hash); ok {
 			rhash := api.ResultHashOf(payload)
-			s.cache.put(hash, payload, rhash)
+			s.cache.put(hash, cachedResult{raw: payload, hash: rhash}, int64(len(payload)))
 			return payload, rhash, api.TierLake, true
 		}
 	}
@@ -822,7 +824,7 @@ func (s *Server) finishJob(j *job, start time.Time, p ResultPayload) {
 		j.rec.ResultHash = rhash
 		j.mu.Unlock()
 		if p.Status == StatusCompleted {
-			s.cache.put(j.c.hash, raw, rhash)
+			s.cache.put(j.c.hash, cachedResult{raw: raw, hash: rhash}, int64(len(raw)))
 			// Write-through: a completed result is a pure function of the
 			// canonical hash, so it is durable forever. A lake write failure
 			// (disk full, IO error) only costs future hits — the response

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -301,9 +302,11 @@ func Parse(text string) (Signal, error) {
 		default:
 			return Signal{}, fmt.Errorf("signal: bad transition %q", f)
 		}
-		var at float64
-		if _, err := fmt.Sscanf(f[2:], "%g", &at); err != nil {
-			return Signal{}, fmt.Errorf("signal: bad transition time %q: %v", f, err)
+		// The whole rest of the field is the time: "r@1x" is an error, not
+		// a transition at 1.
+		at, err := strconv.ParseFloat(f[2:], 64)
+		if err != nil {
+			return Signal{}, fmt.Errorf("signal: bad transition time in field %q", f)
 		}
 		trs = append(trs, Transition{At: at, To: to})
 	}

@@ -3,6 +3,8 @@ package signal
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -207,6 +209,28 @@ func TestParseErrors(t *testing.T) {
 	for _, text := range []string{"", "2", "0 x@1", "0 r@zzz", "0 r@1 r@2", "0 f@1"} {
 		if _, err := Parse(text); err == nil {
 			t.Errorf("Parse(%q): want error", text)
+		}
+	}
+}
+
+// TestParseRejectsTrailingJunk checks that a transition time is the whole
+// rest of its field: junk after a number is an error naming the field, not
+// a transition at the number's prefix.
+func TestParseRejectsTrailingJunk(t *testing.T) {
+	for text, field := range map[string]string{
+		"0 r@1,5":       "r@1,5",
+		"0 r@1.5.7 f@3": "r@1.5.7",
+		"0 r@1x f@2":    "r@1x",
+		"0 r@1 f@":      "f@",
+	} {
+		_, err := Parse(text)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(field)) {
+			t.Errorf("Parse(%q) = %v, want an error naming field %q", text, err, field)
+		}
+	}
+	for _, text := range []string{"0 r@1e-3 f@2.5E1", "1 f@+4 r@8"} {
+		if _, err := Parse(text); err != nil {
+			t.Errorf("Parse(%q): %v", text, err)
 		}
 	}
 }
