@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench clean
+.PHONY: all build test race vet fmt-check
 
 all: build test
 
@@ -21,22 +21,3 @@ vet:
 
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
-
-# bench runs the core simulator benchmarks (the O(1) retirement guard,
-# the cancellation-churn workload, the observer fast-path comparison, the
-# event-time validation on/off pair, the end-to-end ring oscillator, the
-# parallel campaign engine scaling run, the serving-layer submit
-# latency/throughput pair, the cluster dispatch-overhead/fleet-scaling
-# pair, the 1×-vs-4× overload goodput/p99 pair, and the adversarial-search
-# convergence run) and writes BENCH_sim.json — the machine-readable
-# evidence for the ≤2 % no-observer and ≤2 % scheduling-time-validation
-# overhead budgets, the workers=N report identity, the ≥1.5× two-node
-# sweep throughput floor, the overload-protection goodput story, and the
-# attack search's evals-to-first-break / ≥50 % lake-dedup-on-rerun bars.
-BENCH_PATTERN := BenchmarkDeepPendingRetirement|BenchmarkCancellationHeavyChain|BenchmarkObserverOverhead|BenchmarkEventTimeValidation|BenchmarkSimulatorRingOscillator|BenchmarkCampaignParallel|BenchmarkServerSubmitLatency|BenchmarkServerThroughput|BenchmarkClusterDispatch|BenchmarkClusterSweepThroughput|BenchmarkOverloadGoodput|BenchmarkAttackConvergence
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count 1 ./internal/sim/ ./internal/cluster/ . \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_sim.json
-
-clean:
-	rm -f BENCH_sim.json

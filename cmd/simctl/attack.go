@@ -5,7 +5,7 @@ package main
 // generations of candidate perturbations (η schedules, adversary timing,
 // pulse placement), every generation fans out as content-addressed jobs —
 // through the fleet coordinator with -peers (cache- and lake-deduped
-// across generations and runs) or in-process with -local — and the report
+// across generations and runs), in-process without — and the report
 // places the best-found attacks against the paper's faithfulness
 // constraint (C).
 //
@@ -21,11 +21,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
-	ossignal "os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"involution/internal/attack"
 	"involution/internal/obs"
@@ -44,7 +41,6 @@ func runAttack(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 7, "search seed (proposals, acceptance and the report derive from it)")
 	budget := fs.Float64("budget", 0, "attack budget (defeat-spf: bound on eta+ + eta-; 0: objective default)")
 	workers := fs.Int("workers", 8, "concurrent evaluations per generation")
-	local := fs.Bool("local", false, "evaluate in-process instead of on a fleet (-peers not needed)")
 	csvPath := fs.String("csv", "", `write the per-generation report as CSV to this file ("-" = stdout)`)
 	progress := fs.String("progress", "", "atomically rewrite this JSON file after every generation (the `simctl top -attack` feed)")
 	traceOut := fs.String("trace-out", "", "record the search's spans as JSONL to this file and print the trace id")
@@ -72,7 +68,7 @@ func runAttack(args []string, stdout, stderr io.Writer) int {
 		return fatal(stderr, err)
 	}
 
-	ctx, stopSignals := ossignal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := signalContext()
 	defer stopSignals()
 
 	to, err := openTraceOutput(*traceOut, "attack", stdout)
@@ -83,8 +79,9 @@ func runAttack(args []string, stdout, stderr io.Writer) int {
 	ctx = to.context(ctx)
 
 	reg := obs.NewRegistry()
+	local := cf.peers == ""
 	var eval attack.Evaluator
-	if *local {
+	if local {
 		eval = attack.NewLocal()
 	} else {
 		coord, err := cf.coordinator(reg, to.Tracer())
@@ -138,7 +135,7 @@ func runAttack(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "dedup: %d/%d evaluations answered without a fresh simulation (%d lake)\n",
 		res.Deduped, res.Evals, res.LakeHits)
-	if !*local {
+	if !local {
 		clusterSummary(stdout, reg)
 	}
 	if interrupted {

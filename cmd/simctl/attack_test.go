@@ -20,7 +20,6 @@ func TestAttackLocalDeterministic(t *testing.T) {
 	runOnce := func(name string) ([]byte, string) {
 		csv := filepath.Join(dir, name+".csv")
 		code, log := runCLI(t, "attack",
-			"-local",
 			"-searcher", "anneal",
 			"-seed", "7",
 			"-generations", "6",
@@ -139,7 +138,6 @@ func TestTopAttackSection(t *testing.T) {
 	dir := t.TempDir()
 	progress := filepath.Join(dir, "spf.json")
 	code, log := runCLI(t, "attack",
-		"-local",
 		"-searcher", "grid",
 		"-generations", "2",
 		"-batch", "8",

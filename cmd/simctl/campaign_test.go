@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"involution/internal/journal"
+	"involution/internal/sim"
 )
 
 // chainNetlist is a 3-buffer pipeline; driven with a long pulse train it
@@ -41,17 +43,6 @@ func pulseTrain(n int) string {
 	return b.String()
 }
 
-// buildFaultsim compiles this command into dir and returns the binary path.
-func buildFaultsim(t *testing.T, dir string) string {
-	t.Helper()
-	bin := filepath.Join(dir, "faultsim")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
-}
-
 // TestKillAndResume SIGKILLs a checkpointed campaign mid-run and verifies
 // the resumed run reproduces the uninterrupted report byte for byte.
 func TestKillAndResume(t *testing.T) {
@@ -59,23 +50,20 @@ func TestKillAndResume(t *testing.T) {
 		t.Skip("builds and kills a real process")
 	}
 	dir := t.TempDir()
-	bin := buildFaultsim(t, dir)
-	net := filepath.Join(dir, "chain.net")
-	if err := os.WriteFile(net, []byte(chainNetlist), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	bin := buildSimctl(t, dir)
+	net := writeFile(t, dir, "chain.net", chainNetlist)
 	stim := "i=" + pulseTrain(2000)
 	const horizon = "7000"
 
 	refCSV := filepath.Join(dir, "ref.csv")
-	ref := exec.Command(bin, "-f", net, "-in", stim, "-horizon", horizon, "-workers", "2", "-csv", refCSV)
+	ref := exec.Command(bin, "campaign", "-f", net, "-in", stim, "-horizon", horizon, "-workers", "2", "-csv", refCSV)
 	if out, err := ref.CombinedOutput(); err != nil {
 		t.Fatalf("reference run: %v\n%s", err, out)
 	}
 
 	ckpt := filepath.Join(dir, "run.ckpt")
 	victimCSV := filepath.Join(dir, "victim.csv")
-	victim := exec.Command(bin, "-f", net, "-in", stim, "-horizon", horizon, "-workers", "2",
+	victim := exec.Command(bin, "campaign", "-f", net, "-in", stim, "-horizon", horizon, "-workers", "2",
 		"-checkpoint", ckpt, "-csv", victimCSV)
 	if err := victim.Start(); err != nil {
 		t.Fatal(err)
@@ -112,7 +100,7 @@ func TestKillAndResume(t *testing.T) {
 	}
 
 	resumedCSV := filepath.Join(dir, "resumed.csv")
-	resumed := exec.Command(bin, "-f", net, "-in", stim, "-horizon", horizon, "-workers", "2",
+	resumed := exec.Command(bin, "campaign", "-f", net, "-in", stim, "-horizon", horizon, "-workers", "2",
 		"-checkpoint", ckpt, "-resume", "-csv", resumedCSV)
 	if out, err := resumed.CombinedOutput(); err != nil {
 		t.Fatalf("resumed run: %v\n%s", err, out)
@@ -139,16 +127,13 @@ func TestInterruptFlushesPartialReport(t *testing.T) {
 		t.Skip("builds and signals a real process")
 	}
 	dir := t.TempDir()
-	bin := buildFaultsim(t, dir)
-	net := filepath.Join(dir, "chain.net")
-	if err := os.WriteFile(net, []byte(chainNetlist), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	bin := buildSimctl(t, dir)
+	net := writeFile(t, dir, "chain.net", chainNetlist)
 	stim := "i=" + pulseTrain(2000)
 
 	csv := filepath.Join(dir, "part.csv")
 	statsJSON := filepath.Join(dir, "part.json")
-	cmd := exec.Command(bin, "-f", net, "-in", stim, "-horizon", "7000", "-workers", "2",
+	cmd := exec.Command(bin, "campaign", "-f", net, "-in", stim, "-horizon", "7000", "-workers", "2",
 		"-csv", csv, "-stats-json", statsJSON)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -162,8 +147,8 @@ func TestInterruptFlushesPartialReport(t *testing.T) {
 	if !ok {
 		t.Skipf("campaign finished before SIGINT landed (err=%v)", err)
 	}
-	if code := ee.ExitCode(); code != exitInterrupted {
-		t.Fatalf("exit code %d, want %d", code, exitInterrupted)
+	if code := ee.ExitCode(); code != sim.ExitCanceled {
+		t.Fatalf("exit code %d, want %d", code, sim.ExitCanceled)
 	}
 	data, err := os.ReadFile(csv)
 	if err != nil {
@@ -185,5 +170,58 @@ func TestInterruptFlushesPartialReport(t *testing.T) {
 	}
 	if !report.Aborted || !strings.Contains(report.Error, "interrupted") {
 		t.Fatalf("stats-json does not record the interruption: %+v", report)
+	}
+}
+
+// TestCampaignFleetMatchesLocal runs one netlist campaign in-process and
+// on a two-node fleet: the grid (wrapper faults included, which the fleet
+// hands back to local execution) and the CSV must be byte-identical.
+func TestCampaignFleetMatchesLocal(t *testing.T) {
+	dir := t.TempDir()
+	net := writeFile(t, dir, "chain.net", chainNetlist)
+	campaign := func(name string, extra ...string) []byte {
+		csv := filepath.Join(dir, name+".csv")
+		args := append([]string{"campaign", "-f", net, "-in", "i=" + pulseTrain(4), "-horizon", "20", "-csv", csv}, extra...)
+		if code, log := runCLI(t, args...); code != 0 {
+			t.Fatalf("%s: exit %d\n%s", name, code, log)
+		}
+		data, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	local := campaign("local")
+	fleet := campaign("fleet", "-peers", startNode(t)+","+startNode(t))
+	if !bytes.Equal(local, fleet) {
+		t.Fatalf("fleet CSV differs from in-process CSV:\n%s\nvs\n%s", fleet, local)
+	}
+	for _, want := range []string{"set(", "stuck-at", "pushout", "drop", "dup"} {
+		if !bytes.Contains(local, []byte(want)) {
+			t.Fatalf("campaign CSV lacks %q rows:\n%s", want, local)
+		}
+	}
+}
+
+// TestCampaignBuiltinPinned pins the built-in Fig. 5 SPF campaign report:
+// the CSV bytes for a fixed seed, as the earlier standalone campaign
+// binary wrote them.
+func TestCampaignBuiltinPinned(t *testing.T) {
+	dir := t.TempDir()
+	for adv, want := range map[string]string{
+		"zero":    "074eec0e2f95b3fbe819166211003e13cf63046e3f3dc028ce229b8ca874e438",
+		"uniform": "b063d9ef7f6b7d68b3ea4963e6c71df5ee85b750be0d5471e87ad02642f4ed27",
+	} {
+		csv := filepath.Join(dir, adv+".csv")
+		if code, log := runCLI(t, "campaign", "-adversary", adv, "-seed", "1", "-csv", csv); code != 0 {
+			t.Fatalf("%s: exit %d\n%s", adv, code, log)
+		}
+		data, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("%s: CSV sha256 %s, want %s (%d lines)", adv, got, want, bytes.Count(data, []byte("\n")))
+		}
 	}
 }

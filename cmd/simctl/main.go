@@ -1,23 +1,34 @@
-// Command simctl drives a fleet of simd nodes: it shards fault campaigns
-// and Theorem 9 SET-filtering sweeps into content-addressed simulation
-// jobs, fans them out over HTTP with consistent-hash routing, hedged
-// retries and circuit breaking, and reassembles the shard results in
-// scenario order — the merged CSV/JSONL reports are byte-identical for
-// any node count and any failure interleaving.
+// Command simctl is the one command-line client of the simulator. It
+// runs single simulations and fault campaigns in-process, and drives a
+// fleet of simd nodes: it shards fault campaigns and Theorem 9
+// SET-filtering sweeps into content-addressed simulation jobs, fans them
+// out over HTTP with consistent-hash routing, hedged retries and circuit
+// breaking, and reassembles the shard results in scenario order — the
+// merged CSV/JSONL reports are byte-identical for any node count and any
+// failure interleaving.
 //
 // Usage:
 //
-//	simctl sweep    -peers host:8080,host:8081 -csv sweep.csv
+//	simctl run      -f design.net -in 'i=0 r@1 f@2.5' -horizon 100 [-vcd out.vcd]
+//	simctl spf      -delta0 1.39 -adversary worst -horizon 500
+//	simctl campaign -adversary maxup -csv out.csv
 //	simctl campaign -peers host:8080 -f design.net -in 'i=0 r@1 f@2.5'
+//	simctl sweep    -peers host:8080,host:8081 -csv sweep.csv
 //	simctl trace    <trace-id|job-hash> -peers host:8080,host:8081
 //	simctl top      -peers host:8080,host:8081 -once
 //	simctl query    -lake /var/lib/simd/lake -circuit spf -since 24h
 //
-// Both sweep and campaign accept -trace-out <file>: the run then records
-// a distributed trace (campaign root → scenario → dispatch → attempt
-// locally, stitched over the cluster hop to each node's job → sim spans)
-// whose id is printed at startup. `simctl trace` merges the local span
-// file with the spans retained by each node's flight recorder
+// One mode rule holds for campaign and attack: they run in-process when
+// -peers is empty and on the fleet otherwise, with the same grid and the
+// same report. On the fleet, scenarios it cannot express (the wrapper
+// faults, which need in-process scheduler hooks) fall back to local
+// execution transparently.
+//
+// sweep, campaign and attack accept -trace-out <file>: the run then
+// records a distributed trace (campaign root → scenario → dispatch →
+// attempt locally, stitched over the cluster hop to each node's job → sim
+// spans) whose id is printed at startup. `simctl trace` merges the local
+// span file with the spans retained by each node's flight recorder
 // (/debug/jobs) into one cross-node timeline; `simctl top` polls the
 // fleet's flight recorders for the slowest retained jobs.
 //
@@ -26,18 +37,15 @@
 // SET strikes spanning the cancel/metastable/lock regimes are injected on
 // its input, and the outcomes are classified against a local baseline.
 //
-// campaign sweeps an overlay-only fault grid (SETs and stuck-ats; wrapper
-// faults need in-process scheduler hooks and are the local faultsim's
-// job) over a netlist design. Scenarios the fleet cannot express fall
-// back to local execution transparently.
-//
-// Exit codes: 0 when the run completed (aborted scenarios are contained
-// rows, not process failures), 1 on usage, I/O or cluster errors, 5 when
-// SIGINT/SIGTERM interrupted the run — partial artifacts are flushed.
+// Exit codes: the shared sim.ExitCode table. 0 when the run completed
+// (aborted campaign scenarios are contained rows, not process failures),
+// 1 on usage, I/O or cluster errors, 5 when SIGINT/SIGTERM interrupted
+// the run — partial artifacts are flushed. run and spf exit 2, 3 or 4
+// when their simulation aborted on the event budget, the -deadline or a
+// recovered panic; attack exits 2 when it found no breaking attack.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -45,16 +53,13 @@ import (
 	"io"
 	"net/http"
 	"os"
-	ossignal "os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"involution/internal/chaos"
 	"involution/internal/cluster"
 	"involution/internal/experiments"
 	"involution/internal/fault"
-	"involution/internal/netlist"
 	"involution/internal/obs"
 	"involution/internal/obs/tracing"
 	"involution/internal/signal"
@@ -72,6 +77,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return sim.ExitUsage
 	}
 	switch args[0] {
+	case "run":
+		return runSim(args[1:], stdout, stderr)
+	case "spf":
+		return runSPF(args[1:], stdout, stderr)
 	case "sweep":
 		return runSweep(args[1:], stdout, stderr)
 	case "campaign":
@@ -98,9 +107,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
+  simctl run      -f <netlist> [-in 'i=0 r@1 f@2.5'] [flags]   simulate a netlist, print or dump its traces
+  simctl spf      [-delta0 d] [-adversary worst] [flags]   Fig. 5 SPF run with the Section IV analysis
+  simctl campaign [-peers <addr,...>] [-f <netlist>] [flags]   fault-injection campaign (default: built-in Fig. 5 SPF)
   simctl sweep    -peers <addr,...> [flags]   Theorem 9 SET sweep on the fleet
-  simctl campaign -peers <addr,...> -f <netlist> [flags]   overlay-fault campaign
-  simctl attack   [-local | -peers <addr,...>] [-objective defeat-spf] [-searcher anneal] [flags]   search for the weakest breaking perturbation
+  simctl attack   [-peers <addr,...>] [-objective defeat-spf] [-searcher anneal] [flags]   search for the weakest breaking perturbation
   simctl trace    <trace-id|job-hash> -peers <addr,...> [-spans file]   render one trace's cross-node timeline
   simctl top      -peers <addr,...> [-n 10] [-once]   slowest retained jobs across the fleet
   simctl chaos-soak -peers <addr,...> [-schedules 2] [-dir out]   byte-identity soak under seeded chaos + coordinator kill/resume
@@ -110,7 +121,7 @@ run 'simctl <command> -h' for the command's flags
 `)
 }
 
-// clusterFlags holds the fleet knobs shared by both commands.
+// clusterFlags holds the fleet knobs shared by sweep, campaign and attack.
 type clusterFlags struct {
 	peers        string
 	timeout      time.Duration
@@ -124,14 +135,14 @@ type clusterFlags struct {
 }
 
 func (cf *clusterFlags) register(fs *flag.FlagSet) {
-	fs.StringVar(&cf.peers, "peers", "", "comma-separated simd node addresses (required)")
+	fs.StringVar(&cf.peers, "peers", "", "comma-separated simd node addresses (campaign, attack: empty runs in-process)")
 	fs.DurationVar(&cf.timeout, "timeout", 2*time.Minute, "per-request timeout")
 	fs.DurationVar(&cf.hedge, "hedge", 0, "straggler delay before hedging a shard onto a second node (0: no hedging)")
 	fs.IntVar(&cf.retries, "retries", 0, "per-shard reschedules across distinct nodes (0: try every node once)")
 	fs.IntVar(&cf.nodeInFlight, "node-inflight", 4, "concurrent requests per node")
 	fs.StringVar(&cf.chaos, "chaos", "", "inject faults from this chaos schedule (JSON) into every exchange")
-	fs.StringVar(&cf.checkpoint, "checkpoint", "", "crash-safe result journal: completed shards are durable before they are surfaced")
-	fs.BoolVar(&cf.resume, "resume", false, "replay completed shards from the -checkpoint journal instead of truncating it")
+	fs.StringVar(&cf.checkpoint, "checkpoint", "", "crash-safe result journal: completed work is durable before it is surfaced")
+	fs.BoolVar(&cf.resume, "resume", false, "replay completed work from the -checkpoint journal instead of truncating it")
 	fs.StringVar(&cf.apiKey, "api-key", "", "tenant API key sent with every submit (fleet admission control; empty: anonymous)")
 }
 
@@ -166,24 +177,6 @@ func (cf *clusterFlags) coordinator(reg *obs.Registry, tracer *tracing.Tracer) (
 	})
 }
 
-// stimuli is the repeatable -in flag: '<port>=<signal>'.
-type stimuli map[string]signal.Signal
-
-func (s stimuli) String() string { return fmt.Sprintf("%d stimuli", len(s)) }
-
-func (s stimuli) Set(v string) error {
-	name, text, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want <port>=<signal>, got %q", v)
-	}
-	sig, err := signal.Parse(strings.TrimSpace(text))
-	if err != nil {
-		return err
-	}
-	s[strings.TrimSpace(name)] = sig
-	return nil
-}
-
 // sweepRow is one scenario of the combined multi-adversary sweep report.
 type sweepRow struct {
 	Adversary string `json:"adversary"`
@@ -207,7 +200,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		return sim.ExitUsage
 	}
 
-	ctx, stopSignals := ossignal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := signalContext()
 	defer stopSignals()
 
 	to, err := openTraceOutput(*traceOut, "sweep", stdout)
@@ -330,136 +323,6 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-func runCampaign(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("simctl campaign", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var cf clusterFlags
-	cf.register(fs)
-	file := fs.String("f", "", "netlist file (required)")
-	horizon := fs.Float64("horizon", 600, "simulation horizon per scenario")
-	seed := fs.Int64("seed", 1, "campaign seed (scenario rngs and reports derive from it)")
-	maxEvents := fs.Int("max-events", 0, "event budget per scenario run (0: simulator default)")
-	deadline := fs.Duration("deadline", 0, "wall-clock deadline per scenario run (0: none)")
-	workers := fs.Int("workers", 0, "concurrent shards in flight (0: GOMAXPROCS; reports are identical for any value)")
-	maxRetries := fs.Int("max-retries", 2, "re-runs per scenario aborting on budget/deadline, under escalating limits")
-	csvPath := fs.String("csv", "", `write the per-scenario report as CSV to this file ("-" = stdout)`)
-	jsonlPath := fs.String("jsonl", "", `write the per-scenario report as JSONL to this file ("-" = stdout)`)
-	traceOut := fs.String("trace-out", "", "record the campaign's spans as JSONL to this file and print the trace id")
-	in := stimuli{}
-	fs.Var(in, "in", "input stimulus, e.g. 'i=0 r@1 f@2.5' (repeatable; default: constant zero)")
-	if err := fs.Parse(args); err != nil {
-		return sim.ExitUsage
-	}
-	if *file == "" {
-		return fatal(stderr, fmt.Errorf("-f <netlist> is required"))
-	}
-
-	f, err := os.Open(*file)
-	if err != nil {
-		return fatal(stderr, err)
-	}
-	doc, err := netlist.ParseDocument(f)
-	f.Close()
-	if err != nil {
-		return fatal(stderr, err)
-	}
-	c, err := doc.Build()
-	if err != nil {
-		return fatal(stderr, err)
-	}
-	inputs := map[string]signal.Signal{}
-	for _, name := range c.Inputs() {
-		if sig, ok := in[name]; ok {
-			inputs[name] = sig
-		} else {
-			inputs[name] = signal.Zero()
-		}
-	}
-	for name := range in {
-		if _, ok := inputs[name]; !ok {
-			return fatal(stderr, fmt.Errorf("stimulus for unknown input port %q", name))
-		}
-	}
-
-	ctx, stopSignals := ossignal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	to, err := openTraceOutput(*traceOut, "campaign", stdout)
-	if err != nil {
-		return fatal(stderr, err)
-	}
-	defer to.close(stderr)
-	ctx = to.context(ctx)
-
-	reg := obs.NewRegistry()
-	coord, err := cf.coordinator(reg, to.Tracer())
-	if err != nil {
-		return fatal(stderr, err)
-	}
-	defer coord.Close()
-
-	camp := &fault.Campaign{
-		Circuit:   c,
-		Inputs:    inputs,
-		Horizon:   *horizon,
-		MaxEvents: *maxEvents,
-		Deadline:  *deadline,
-		Seed:      *seed,
-	}
-	scenarios := fault.Grid(fault.Sites(c), overlayModels(*horizon))
-	fmt.Fprintf(stdout, "campaign grid: %d scenarios over circuit %s, seed %d\n", len(scenarios), c.Name, *seed)
-
-	eng := &fault.Engine{Campaign: camp, Opts: fault.Options{
-		Workers:    *workers,
-		MaxRetries: *maxRetries,
-		Registry:   reg,
-		Executor:   &cluster.CampaignExecutor{Coord: coord, Doc: doc, Inputs: inputs},
-		Tracer:     to.Tracer(),
-	}}
-	rep, err := eng.Run(ctx, scenarios)
-	interrupted := errors.Is(err, fault.ErrInterrupted)
-	if err != nil && !interrupted {
-		return fatal(stderr, err)
-	}
-	if interrupted {
-		fmt.Fprintf(stderr, "simctl: %v — flushing partial report (%d/%d scenarios)\n",
-			err, len(rep.Rows), len(scenarios))
-	}
-	fmt.Fprint(stdout, rep.Format())
-	mergeSp := to.child("merge")
-	if err := writeReport(stdout, *csvPath, rep.WriteCSV); err != nil {
-		return fatal(stderr, err)
-	}
-	if err := writeReport(stdout, *jsonlPath, rep.WriteJSONL); err != nil {
-		return fatal(stderr, err)
-	}
-	mergeSp.End()
-	clusterSummary(stdout, reg)
-	if interrupted {
-		return sim.ExitCanceled
-	}
-	return 0
-}
-
-// overlayModels builds the remotable campaign grid: SETs at four strike
-// times for each of four horizon-scaled widths, and stuck-at-0/1 at three
-// onsets. Wrapper faults (pushout/drop/dup) are deliberately absent — they
-// need in-process scheduler hooks and belong to the local faultsim.
-func overlayModels(horizon float64) []fault.Model {
-	var out []fault.Model
-	for _, frac := range []float64{0.05, 0.25, 0.5, 0.8} {
-		for _, wf := range []float64{1e-3, 1e-2, 5e-2, 0.1} {
-			out = append(out, fault.SET{At: frac * horizon, Width: wf * horizon})
-		}
-	}
-	for _, v := range []signal.Value{signal.High, signal.Low} {
-		for _, frac := range []float64{0, 0.25, 0.6} {
-			out = append(out, fault.StuckAt{V: v, From: frac * horizon})
-		}
-	}
-	return out
-}
-
 // clusterSummary prints the fleet-side counters of the run.
 func clusterSummary(w io.Writer, reg *obs.Registry) {
 	vals := map[string]float64{}
@@ -472,32 +335,4 @@ func clusterSummary(w io.Writer, reg *obs.Registry) {
 		vals["cluster_reschedule_total"], vals["cluster_attempt_failure_total"], vals["cluster_remote_cache_hit_total"],
 		vals["cluster_lake_dedup_total"],
 		vals["cluster_integrity_failures_total"], vals["cluster_checkpoint_replayed_total"])
-}
-
-// writeReport writes one report rendering to path ("-" = stdout, "" = skip).
-func writeReport(stdout io.Writer, path string, render func(w io.Writer) error) error {
-	if path == "" {
-		return nil
-	}
-	if path == "-" {
-		return render(stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := render(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", path)
-	return nil
-}
-
-func fatal(w io.Writer, err error) int {
-	fmt.Fprintln(w, "simctl:", err)
-	return 1
 }

@@ -192,8 +192,11 @@ func TestUsage(t *testing.T) {
 	if code, out := runCLI(t, "sweep"); code != 1 || !strings.Contains(out, "-peers") {
 		t.Errorf("sweep without peers: exit %d, output %q", code, out)
 	}
-	if code, out := runCLI(t, "campaign", "-peers", "x:1"); code != 1 || !strings.Contains(out, "-f") {
-		t.Errorf("campaign without -f: exit %d, output %q", code, out)
+	if code, out := runCLI(t, "campaign", "-f", "/nonexistent/design.net"); code != 1 || !strings.Contains(out, "design.net") {
+		t.Errorf("campaign with a missing netlist: exit %d, output %q", code, out)
+	}
+	if code, out := runCLI(t, "campaign", "-resume"); code != 1 || !strings.Contains(out, "-checkpoint") {
+		t.Errorf("campaign -resume without -checkpoint: exit %d, output %q", code, out)
 	}
 	if code, _ := runCLI(t, "help"); code != 0 {
 		t.Errorf("help: exit %d, want 0", code)

@@ -23,12 +23,10 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	ossignal "os/signal"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"involution/internal/chaos"
@@ -76,7 +74,7 @@ func runChaosSoak(args []string, stdout, stderr io.Writer) int {
 		return fatal(stderr, err)
 	}
 
-	ctx, stopSignals := ossignal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := signalContext()
 	defer stopSignals()
 
 	s := &soak{

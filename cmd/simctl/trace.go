@@ -8,11 +8,9 @@ import (
 	"io"
 	"net/http"
 	"os"
-	ossignal "os/signal"
 	"path/filepath"
 	"sort"
 	"strings"
-	"syscall"
 	"time"
 
 	"involution/internal/obs/tracing"
@@ -267,7 +265,7 @@ func runTop(args []string, stdout, stderr io.Writer) int {
 		return fatal(stderr, fmt.Errorf("-peers is required (comma-separated simd addresses)"))
 	}
 
-	ctx, stopSignals := ossignal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stopSignals := signalContext()
 	defer stopSignals()
 
 	for {

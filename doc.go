@@ -14,9 +14,11 @@
 // DESIGN.md for the system inventory and experiment index, and
 // EXPERIMENTS.md for the paper-versus-measured record. Executables:
 //
+//	cmd/simctl    the client CLI: simulate a netlist (run) or the Fig. 5
+//	              SPF circuit (spf), run fault campaigns, drive a fleet
+//	cmd/simd      simulation service daemon
+//	cmd/simload   overload generator for simd
 //	cmd/figures   regenerate every figure's data (CSV + ASCII preview)
-//	cmd/spfsim    simulate the Fig. 5 SPF circuit
-//	cmd/netsim    event-simulate a text netlist
 //	cmd/delayfit  fit exp-channel parameters to delay samples
 //
 // The benchmark harness in bench_test.go regenerates each experiment and

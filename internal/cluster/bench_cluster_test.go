@@ -87,8 +87,8 @@ func BenchmarkClusterDispatch(b *testing.B) {
 // throughput against fleets of one and two paced nodes (5ms service
 // time each, one in-flight shard per node). The nodes=2 figure
 // demonstrates the horizontal scaling the coordinator exists for; the
-// acceptance floor is 1.5× the nodes=1 figure, and the gap to the ideal
-// 2× is the coordinator's routing-imbalance plus dispatch overhead.
+// target of 1.5× the nodes=1 figure is not gated, and the gap to the
+// ideal 2× is the coordinator's routing-imbalance plus dispatch overhead.
 func BenchmarkClusterSweepThroughput(b *testing.B) {
 	const pace = 5 * time.Millisecond
 	for _, nodes := range []int{1, 2} {

@@ -1,15 +1,8 @@
 package server
 
 import (
-	"fmt"
-	"math/rand"
-
-	"involution/internal/adversary"
 	"involution/internal/circuit"
-	"involution/internal/core"
-	"involution/internal/delay"
 	"involution/internal/experiments"
-	"involution/internal/spf"
 )
 
 // spfAdversaries are the Request.Adversary values the built-in SPF circuit
@@ -27,35 +20,14 @@ func defaultBuiltins() []Builtin {
 	}}
 }
 
-// buildSPF constructs the Fig. 5 SPF circuit under the named adversary.
-// Randomized adversaries seed their rng from the request seed, so runs are
-// deterministic per (adv, seed) — the property the result cache relies on.
+// buildSPF builds the Fig. 5 SPF netlist (experiments.SPFNetlist) under the
+// named adversary. Randomized adversaries seed a fresh rng per channel
+// instance from the request seed, so runs are deterministic per (adv,
+// seed) — the property the result cache relies on.
 func buildSPF(adv string, seed int64) (*circuit.Circuit, error) {
-	loop, err := core.New(delay.MustExp(experiments.ReferenceExp), experiments.ReferenceEta)
+	doc, _, err := experiments.SPFNetlist(adv, seed)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := spf.NewSystem(loop)
-	if err != nil {
-		return nil, err
-	}
-	var mk func() adversary.Strategy
-	switch adv {
-	case "zero":
-		mk = nil
-	case "worst":
-		mk = func() adversary.Strategy { return adversary.MinUpTime{} }
-	case "maxup":
-		mk = func() adversary.Strategy { return adversary.MaxUpTime{} }
-	case "uniform":
-		// Every strategy instance gets its own identically-seeded rng:
-		// instances are created per run, so a shared stream would leak
-		// state across runs and break cache determinism.
-		mk = func() adversary.Strategy {
-			return adversary.Uniform{Rng: rand.New(rand.NewSource(seed))}
-		}
-	default:
-		return nil, fmt.Errorf("unknown adversary %q", adv)
-	}
-	return sys.Build(mk)
+	return doc.Build()
 }

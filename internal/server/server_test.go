@@ -614,3 +614,26 @@ func TestAdvertiseEchoed(t *testing.T) {
 		t.Fatalf("unconfigured advertise leaked into healthz: %s", w.Body.String())
 	}
 }
+
+// TestBuiltinSPFResultsPinned pins the built-in SPF job's ResultHash per
+// adversary: the circuit is built from experiments.SPFNetlist, and these
+// are the hashes the earlier in-memory spf.System construction produced.
+func TestBuiltinSPFResultsPinned(t *testing.T) {
+	h := testServer(t).Handler()
+	for _, c := range []struct{ adv, in, want string }{
+		{"zero", "0 r@1 f@2.26", "3aef4923606ae5ff31c831718d86d1049a5ee87f72953d4cc3f1a065e7be6dea"},
+		{"worst", "0 r@1 f@2.26", "f537887c24bacc9d554066b5a0209d5d1841d4d13244bb2de82245381f78267b"},
+		{"maxup", "0 r@1 f@2.26", "3aef4923606ae5ff31c831718d86d1049a5ee87f72953d4cc3f1a065e7be6dea"},
+		{"uniform", "0 r@1 f@2.26", "78dacea503673df4508e5104fc22972dc9b2ea3042a397e750f819e40d6bffc1"},
+		{"zero", "0 r@1 f@1.9 r@5 f@6.3 r@10 f@11.2", "7bdf1c9036a248b3163aefbebe83b3748a5bc5c83d4138a041d742319d9b576c"},
+		{"worst", "0 r@1 f@1.9 r@5 f@6.3 r@10 f@11.2", "7bdf1c9036a248b3163aefbebe83b3748a5bc5c83d4138a041d742319d9b576c"},
+		{"maxup", "0 r@1 f@1.9 r@5 f@6.3 r@10 f@11.2", "1af0792b1e04d60facfecf5aa344620cab4d5e209e31eff63b8ab6b86245919e"},
+		{"uniform", "0 r@1 f@1.9 r@5 f@6.3 r@10 f@11.2", "7bdf1c9036a248b3163aefbebe83b3748a5bc5c83d4138a041d742319d9b576c"},
+	} {
+		rec := submitWait(t, h, Request{Circuit: "spf", Adversary: c.adv, Seed: 7,
+			Inputs: map[string]string{"i": c.in}, Horizon: 80})
+		if rec.Status != StatusCompleted || rec.ResultHash != c.want {
+			t.Errorf("%s %q: status %s, result %s, want %s", c.adv, c.in, rec.Status, rec.ResultHash, c.want)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 package sim
 
-// Process exit codes shared by the CLIs (netsim, faultsim, spfsim, simd).
+// Process exit codes shared by the CLIs (simctl run/spf/campaign, simd).
 // Distinct codes let scripts and CI tell resource exhaustion from
 // wall-clock overrun from an internal panic without parsing stderr; simd
 // reuses the same table for job status codes so a job's disposition reads
