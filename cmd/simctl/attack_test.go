@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -42,6 +44,48 @@ func TestAttackLocalDeterministic(t *testing.T) {
 	for _, want := range []string{"VIOLATES (C)", "defeat out.tr=", "best-found attacks"} {
 		if !strings.Contains(log, want) {
 			t.Fatalf("attack report lacks %q:\n%s", want, log)
+		}
+	}
+}
+
+// TestAttackLocalMatchesFleet is the attack twin of
+// TestCampaignFleetMatchesLocal: the in-process evaluator runs simd's own
+// job path, so the same search with and without -peers writes a
+// byte-identical CSV, reports the same dedup count and exits alike (2: no
+// breaking attack found).
+func TestAttackLocalMatchesFleet(t *testing.T) {
+	dir := t.TempDir()
+	peers := startNode(t) + "," + startNode(t)
+	attack := func(name string, extra ...string) ([]byte, string) {
+		csv := filepath.Join(dir, name+".csv")
+		args := append([]string{"attack", "-seed", "7", "-generations", "6", "-batch", "16", "-csv", csv}, extra...)
+		code, log := runCLI(t, args...)
+		if code != 0 && code != 2 {
+			t.Fatalf("%s: exit %d\n%s", name, code, log)
+		}
+		data, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(log, "\n") {
+			if strings.HasPrefix(line, "dedup: ") {
+				return data, fmt.Sprintf("exit %d, %s", code, line)
+			}
+		}
+		t.Fatalf("%s: no dedup line:\n%s", name, log)
+		return nil, ""
+	}
+	for _, search := range [][]string{
+		{"-objective", "defeat-spf", "-searcher", "anneal"},
+		{"-objective", "max-stabilize", "-searcher", "cem"},
+	} {
+		local, localDedup := attack(search[1]+"-local", search...)
+		fleet, fleetDedup := attack(search[1]+"-fleet", append(search, "-peers", peers)...)
+		if !bytes.Equal(local, fleet) {
+			t.Fatalf("%v: fleet CSV differs from in-process CSV:\n%s\nvs\n%s", search, fleet, local)
+		}
+		if localDedup != fleetDedup {
+			t.Fatalf("%v: dedup %q in-process, %q on the fleet", search, localDedup, fleetDedup)
 		}
 	}
 }

@@ -176,8 +176,8 @@ type Objective interface {
 }
 
 // Evaluator runs one content-addressed request. *cluster.Coordinator
-// implements it directly; Local (in-process, no fleet) is the other
-// implementation.
+// implements it over a fleet; *server.Server (NewLocal) runs simd's own
+// job path in-process.
 type Evaluator interface {
 	RunOne(ctx context.Context, req api.Request) (api.Record, error)
 }

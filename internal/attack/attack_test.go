@@ -3,6 +3,7 @@ package attack
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -162,6 +164,8 @@ func TestSearcherObserveReplay(t *testing.T) {
 	}
 }
 
+// TestLocalEvaluatorMemo: a repeated request is answered from the
+// in-process server's RAM cache with the first run's exact bytes.
 func TestLocalEvaluatorMemo(t *testing.T) {
 	o, err := NewDefeatSPF(0)
 	if err != nil {
@@ -189,6 +193,29 @@ func TestLocalEvaluatorMemo(t *testing.T) {
 	}
 	if string(r1.Result) != string(r2.Result) {
 		t.Fatal("cached result differs from fresh result")
+	}
+}
+
+// TestLocalRunsNoGoroutine: the in-process evaluator is a simd server that
+// is never mounted, so building one and evaluating through it leaves no
+// worker, limiter or recorder goroutine behind.
+func TestLocalRunsNoGoroutine(t *testing.T) {
+	o, err := NewDefeatSPF(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := o.Request(o.Space().Snap([]float64{0.1, 0.1, -0.2, -0.2, 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		if _, err := NewLocal().RunOne(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d → %d", before, after)
 	}
 }
 
@@ -512,5 +539,61 @@ func TestCampaignMetricsAndProgress(t *testing.T) {
 	}
 	if !p.Done || p.Gen != 2 || p.Objective != "defeat-spf" || p.Evals != res.Evals {
 		t.Errorf("progress = %+v", p)
+	}
+}
+
+// TestGenRngPinned pins the per-generation streams to their values before
+// the mixer moved onto internal/splitmix: a journaled campaign resumes
+// only if every generation re-derives the same proposals.
+func TestGenRngPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed        int64
+		gen, stream int
+		want        [2]int64
+	}{
+		{7, 0, 0, [2]int64{788183878149788701, 4959575618875171841}},
+		{7, 0, 1, [2]int64{5977064273612923576, 2743724509798208426}},
+		{7, 3, 0, [2]int64{353180778262277498, 7329952187405203474}},
+		{-2, 5, 1, [2]int64{8179503941398704506, 3428424140511369407}},
+	} {
+		r := genRng(c.seed, c.gen, c.stream)
+		if got := [2]int64{r.Int63(), r.Int63()}; got != c.want {
+			t.Errorf("genRng(%d, %d, %d) = %v, want %v", c.seed, c.gen, c.stream, got, c.want)
+		}
+	}
+}
+
+// TestRequestBodiesPinned pins the rendered defeat-spf and max-stabilize
+// request bodies byte for byte: the body is the content key, so a drift in
+// the shared SPF renderer would orphan every lake entry and cached result.
+func TestRequestBodiesPinned(t *testing.T) {
+	d, err := NewDefeatSPF(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMaxStabilize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		o    Objective
+		x    []float64
+		want string
+	}{
+		{d, []float64{0.1, 0.1, -0.2, -0.2, 1}, "9574a57fb78c6661734c53f6034b13e1571464519c6f02dcc20c782bd523806e"},
+		{d, []float64{0.58, 0.14, -0.25, -0.1, 1}, "f55749b6db26d80de55cd6f8002fd651ab9a668dda192cd6d005251424c1108d"},
+		{m, []float64{1.1, -0.3, 0.2}, "1d42202c260026e80e5ccf560a88febd5f5373b1118ea7a46e9a50b0506901de"},
+	} {
+		req, err := c.o.Request(c.o.Space().Snap(c.x))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _, err := req.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(body)); got != c.want {
+			t.Errorf("%s %v: body sha256 %s, want %s\n%s", c.o.Name(), c.x, got, c.want, body)
+		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"involution/internal/obs/tracing"
 	"involution/internal/sched"
 	"involution/internal/server/api"
+	"involution/internal/splitmix"
 )
 
 // Config drives one attack campaign.
@@ -141,13 +142,8 @@ func ReadProgress(path string) (Progress, error) {
 // splitmix64 finalizer, so generations and streams are mutually unrelated
 // and — crucially for resume — re-derivable.
 func genRng(seed int64, gen, stream int) *rand.Rand {
-	x := uint64(seed) + (uint64(gen)+1)*0x9E3779B97F4A7C15 + (uint64(stream)+1)*0xD1B54A32D192ED03
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return rand.New(rand.NewSource(int64(x)))
+	x := uint64(seed) + (uint64(gen)+1)*splitmix.Gamma + (uint64(stream)+1)*0xD1B54A32D192ED03
+	return rand.New(rand.NewSource(int64(splitmix.Mix(x))))
 }
 
 // Run executes the campaign: propose → snap/budget-filter → dedup →

@@ -1,138 +1,12 @@
 package attack
 
-import (
-	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"strings"
-	"sync"
+import "involution/internal/server"
 
-	"involution/internal/netlist"
-	"involution/internal/server/api"
-	"involution/internal/signal"
-	"involution/internal/sim"
-)
-
-// Local is an in-process Evaluator: it runs netlist requests directly
-// through the simulator, without a simd fleet. It mirrors the server's
-// result-payload assembly (outputs from the circuit's output ports,
-// wall-clock duration scrubbed, the abort-class → exit-code table) so a
-// campaign scored locally is bit-identical to one scored remotely, and
-// keeps a route-key memo so repeated candidates register as cache hits
-// exactly like the fleet's RAM tier would.
-type Local struct {
-	mu   sync.Mutex
-	memo map[string]api.Record
-}
-
-// NewLocal builds an empty local evaluator.
-func NewLocal() *Local { return &Local{memo: make(map[string]api.Record)} }
-
-// RunOne implements Evaluator.
-func (l *Local) RunOne(ctx context.Context, req api.Request) (api.Record, error) {
-	key := req.RouteKey()
-	l.mu.Lock()
-	if rec, ok := l.memo[key]; ok {
-		l.mu.Unlock()
-		rec.Cached = true
-		rec.CacheTier = api.TierMem
-		return rec, nil
-	}
-	l.mu.Unlock()
-
-	rec, err := runLocal(ctx, req)
-	if err != nil {
-		return api.Record{}, err
-	}
-	rec.Hash = key
-	l.mu.Lock()
-	l.memo[key] = rec
-	l.mu.Unlock()
-	return rec, nil
-}
-
-// runLocal compiles and runs one netlist request, assembling the payload
-// the way internal/server does.
-func runLocal(ctx context.Context, req api.Request) (api.Record, error) {
-	if req.Netlist == "" {
-		return api.Record{}, fmt.Errorf("attack: local evaluator wants a netlist request")
-	}
-	circ, err := netlist.Parse(strings.NewReader(req.Netlist))
-	if err != nil {
-		return api.Record{}, fmt.Errorf("attack: bad netlist: %w", err)
-	}
-	inputs := make(map[string]signal.Signal, len(req.Inputs))
-	for name, text := range req.Inputs {
-		sig, err := signal.Parse(strings.TrimSpace(text))
-		if err != nil {
-			return api.Record{}, fmt.Errorf("attack: bad input %q: %w", name, err)
-		}
-		inputs[name] = sig
-	}
-	for _, name := range circ.Inputs() {
-		if _, ok := inputs[name]; !ok {
-			inputs[name] = signal.Zero()
-		}
-	}
-	horizon := req.Horizon
-	if horizon == 0 {
-		horizon = 100
-	}
-	res, err := sim.Run(circ, inputs, sim.Options{
-		Horizon:   horizon,
-		MaxEvents: req.MaxEvents,
-		Context:   ctx,
-	})
-
-	var p api.ResultPayload
-	switch {
-	case err == nil:
-		outs := make(map[string]string)
-		for _, name := range circ.Outputs() {
-			outs[name] = res.Signals[name].String()
-		}
-		stats := res.Stats
-		stats.Duration = 0 // scrubbed, as on the server: payload must be cacheable
-		p = api.ResultPayload{
-			Status:   api.StatusCompleted,
-			ExitCode: sim.ExitOK,
-			Events:   res.Events,
-			Horizon:  res.Horizon,
-			Outputs:  outs,
-			Stats:    stats,
-		}
-	default:
-		var ab *sim.AbortError
-		if errors.As(err, &ab) {
-			p = api.ResultPayload{
-				Status:   api.StatusAborted,
-				Class:    string(ab.Class()),
-				Error:    ab.Error(),
-				ExitCode: sim.ExitCode(ab.Class()),
-				Horizon:  horizon,
-				Stats:    ab.Stats,
-			}
-		} else {
-			p = api.ResultPayload{
-				Status:   api.StatusAborted,
-				Class:    string(sim.ClassOther),
-				Error:    err.Error(),
-				ExitCode: sim.ExitAbort,
-				Horizon:  horizon,
-			}
-		}
-	}
-	raw, err := json.Marshal(p)
-	if err != nil {
-		return api.Record{}, err
-	}
-	return api.Record{
-		Circuit:    circ.Name,
-		Status:     p.Status,
-		Class:      p.Class,
-		Error:      p.Error,
-		Result:     raw,
-		ResultHash: api.ResultHashOf(raw),
-	}, nil
+// NewLocal returns the in-process Evaluator: a simd server that is never
+// mounted on HTTP, so every evaluation runs simd's own compile → cache →
+// execute → store path on the caller's goroutine and a campaign scored
+// locally is bit-identical to one scored by a fleet. The flight recorder
+// and the adaptive concurrency limiter are off; nothing reads them here.
+func NewLocal() *server.Server {
+	return server.New(server.Config{FlightSlow: -1, FlightAborted: -1, AIMDTarget: -1})
 }

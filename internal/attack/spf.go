@@ -62,29 +62,11 @@ func newSPFRef() (*spfRef, error) {
 // doc renders the Fig. 5 SPF circuit with the loop channel's η interval
 // widened to the candidate's (η⁺, η⁻) and driven by the hold feedback
 // adversary (see adversary.Hold), keeping the buffer at its reference
-// dimensioning — the defense stays fixed while the attack moves. The
-// statement order mirrors experiments.SPFNetlist exactly (taps appended
-// last, like cluster probe taps), so loop event ties match spf.Build.
+// dimensioning — the defense stays fixed while the attack moves.
 func (r *spfRef) doc(etaPlus, etaMinus, tr, tf float64) *netlist.Document {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	d := &netlist.Document{Name: "spf-attack"}
-	add := func(fields ...string) { d.Stmts = append(d.Stmts, netlist.Stmt{Fields: fields}) }
-	add("input", spf.NodeIn)
-	add("output", spf.NodeOut)
-	add("gate", spf.NodeOr, "OR2", "init=0")
-	add("gate", spf.NodeHT, "BUF", "init=0")
-	add("output", tapOr)
-	add("channel", spf.NodeIn, spf.NodeOr, "0", "zero")
-	add("channel", spf.NodeOr, spf.NodeOr, "1", "exp",
-		"tau="+g(experiments.ReferenceExp.Tau), "tp="+g(experiments.ReferenceExp.TP),
-		"vth="+g(experiments.ReferenceExp.Vth),
-		"eta+="+g(etaPlus), "eta-="+g(etaMinus),
-		"adversary=hold", "tr="+g(tr), "tf="+g(tf))
-	add("channel", spf.NodeOr, spf.NodeHT, "0", "exp",
-		"tau="+g(r.sys.Buffer.Tau), "tp="+g(r.sys.Buffer.TP), "vth="+g(r.sys.Buffer.Vth))
-	add("channel", spf.NodeHT, spf.NodeOut, "0", "zero")
-	add("channel", spf.NodeOr, tapOr, "0", "zero")
-	return d
+	return experiments.SPFDocument("spf-attack", adversary.Eta{Plus: etaPlus, Minus: etaMinus},
+		[]string{"adversary=hold", "tr=" + g(tr), "tf=" + g(tf)}, r.sys.Buffer, tapOr)
 }
 
 func (r *spfRef) request(etaPlus, etaMinus, tr, tf, d0 float64) api.Request {

@@ -31,6 +31,8 @@ import (
 	"os"
 	"strings"
 	"time"
+
+	"involution/internal/splitmix"
 )
 
 // Fault kinds a Rule can inject.
@@ -285,16 +287,8 @@ func (s *Schedule) decide(idx int, key string, occ uint64) bool {
 func (s *Schedule) mix(idx int, key string, occ uint64) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, key)
-	x := uint64(s.Seed) ^ h.Sum64() ^ (uint64(idx+1) * 0x9E3779B97F4A7C15) ^ (occ * 0xBF58476D1CE4E5B9)
-	return splitmix(x)
-}
-
-// splitmix is the splitmix64 finalizer.
-func splitmix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
+	x := uint64(s.Seed) ^ h.Sum64() ^ (uint64(idx+1) * splitmix.Gamma) ^ (occ * 0xBF58476D1CE4E5B9)
+	return splitmix.Mix(x + splitmix.Gamma)
 }
 
 // unit maps a 64-bit state to [0,1).
@@ -318,9 +312,9 @@ func corrupt(body []byte, state uint64, flips int) []byte {
 		return body
 	}
 	for n := 0; n < flips; n++ {
-		state = splitmix(state)
+		state = splitmix.Mix(state + splitmix.Gamma)
 		i := alnum[int(state%uint64(len(alnum)))]
-		state = splitmix(state)
+		state = splitmix.Mix(state + splitmix.Gamma)
 		step := byte(1 + state%9)
 		switch b := body[i]; {
 		case b >= '0' && b <= '9':

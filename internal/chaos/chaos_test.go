@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -462,5 +463,28 @@ func TestLoadScheduleRoundTrip(t *testing.T) {
 	}
 	if _, err := LoadSchedule(dir + "/missing.json"); err == nil {
 		t.Fatal("missing file did not error")
+	}
+}
+
+// TestDecisionStreamPinned pins injection decisions and corruption bytes
+// to the values they had before the mixer moved onto internal/splitmix:
+// a recorded chaos schedule must replay the same faults.
+func TestDecisionStreamPinned(t *testing.T) {
+	s := &Schedule{Seed: 11, Rules: []Rule{{Fault: "status", P: 0.5}, {Fault: "corrupt", P: 0.2}}}
+	var fired []uint64
+	for occ := uint64(0); occ < 16; occ++ {
+		if s.decide(int(occ%2), "POST /v1/jobs", occ) {
+			fired = append(fired, occ)
+		}
+	}
+	if want := []uint64{8, 13, 15}; !reflect.DeepEqual(fired, want) {
+		t.Errorf("fired at %v, want %v", fired, want)
+	}
+	if got, want := s.mix(1, "k", 3), uint64(0x87dfb1834d70473c); got != want {
+		t.Errorf("mix = %#x, want %#x", got, want)
+	}
+	body := corrupt([]byte(`{"netlist":"circuit x","horizon":50}`), s.mix(0, "k", 0), 3)
+	if want := `{"nhtlist":"cirkvit x","horizon":50}`; string(body) != want {
+		t.Errorf("corrupt = %s, want %s", body, want)
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"involution/internal/splitmix"
 )
 
 // Middleware wraps an http.Handler with the schedule's faults — the
@@ -73,7 +75,7 @@ func Middleware(sched *Schedule, next http.Handler) http.Handler {
 			switch rule.Fault {
 			case FaultCorrupt:
 				t.count(FaultCorrupt)
-				body = corrupt(body, splitmix(state), rule.flips())
+				body = corrupt(body, splitmix.Mix(state+splitmix.Gamma), rule.flips())
 			case FaultTruncate:
 				t.count(FaultTruncate)
 				if len(body) > 1 {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"involution/internal/obs"
+	"involution/internal/splitmix"
 )
 
 // Error is an injected transport-level failure. It satisfies net.Error so
@@ -221,7 +222,7 @@ func (t *Transport) mutate(resp *http.Response, fired []int, key string, occ uin
 		switch r.Fault {
 		case FaultCorrupt:
 			t.count(FaultCorrupt)
-			body = corrupt(body, splitmix(state), r.flips())
+			body = corrupt(body, splitmix.Mix(state+splitmix.Gamma), r.flips())
 		case FaultTruncate:
 			t.count(FaultTruncate)
 			if len(body) > 1 {

@@ -15,6 +15,7 @@ import (
 	"involution/internal/obs/tracing"
 	"involution/internal/sched"
 	"involution/internal/server/api"
+	"involution/internal/splitmix"
 )
 
 // StatusError is a non-2xx simd response: the node answered, but refused.
@@ -184,7 +185,7 @@ func (c *Client) do(ctx context.Context, node string, attempt func(context.Conte
 		Seed:   c.seed,
 	}
 	var last error
-	jit := uint64(c.seed) ^ 0x9e3779b97f4a7c15
+	jit := uint64(c.seed) ^ splitmix.Gamma
 	sched.Ladder{MaxRetries: c.retries}.Run(ctx, func(n int) sched.Verdict {
 		if n > 0 {
 			// A retry was granted: wait out the backoff, stretched to the
@@ -229,12 +230,7 @@ func asStatusError(err error, out **StatusError) bool {
 // splitmix64 stream held in state — the client half of thundering-herd
 // avoidance on Retry-After.
 func jitterStretch(d time.Duration, state *uint64) time.Duration {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	frac := float64(z>>11) / float64(1<<53)
+	frac := float64(splitmix.Next(state)>>11) / float64(1<<53)
 	return d + time.Duration(float64(d)*0.25*frac)
 }
 

@@ -33,7 +33,7 @@ type node struct {
 func (n *node) acquire(ctx context.Context) error {
 	select {
 	case n.sem <- struct{}{}:
-		gaugeAdd(n.inflight, 1)
+		n.inflight.Add(1)
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -42,7 +42,7 @@ func (n *node) acquire(ctx context.Context) error {
 
 func (n *node) release() {
 	<-n.sem
-	gaugeAdd(n.inflight, -1)
+	n.inflight.Add(-1)
 }
 
 // Coordinator shards work over a fleet of simd nodes: consistent-hash
@@ -52,13 +52,12 @@ func (n *node) release() {
 // indexed by submission order, so merged output is deterministic for any
 // node count and failure interleaving.
 type Coordinator struct {
-	opts     Options
-	client   *Client
-	ring     *Ring
-	nodes    map[string]*node
-	met      *metrics
-	mismatch *obs.Counter
-	journal  *Journal // nil: no checkpoint
+	opts    Options
+	client  *Client
+	ring    *Ring
+	nodes   map[string]*node
+	met     *metrics
+	journal *Journal // nil: no checkpoint
 
 	stopProbe func()
 	probeDone chan struct{}
@@ -87,7 +86,7 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	} else {
 		c.client.SetTransport(DefaultTransport(2 * opts.NodeInFlight))
 	}
-	c.client.onIntegrity = c.met.incIntegrity
+	c.client.onIntegrity = c.met.integrity.Inc
 	c.client.SetAPIKey(opts.APIKey)
 	if opts.Checkpoint != "" {
 		j, err := OpenJournal(opts.Checkpoint, opts.Resume)
@@ -95,10 +94,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 			return nil, err
 		}
 		c.journal = j
-	}
-	if opts.Registry != nil {
-		c.mismatch = opts.Registry.Counter("cluster_advertise_mismatch_total",
-			"health probes answered by a node advertising a different address than routed")
 	}
 	for _, addr := range opts.Peers {
 		n := &node{
@@ -110,7 +105,7 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		n.inflight = c.met.nodeInFlight(addr)
 		n.queue = c.met.nodeQueue(addr)
 		n.running = c.met.nodeRunning(addr)
-		gaugeSet(n.healthy, 1)
+		n.healthy.Set(1)
 		c.nodes[addr] = n
 	}
 	if opts.ProbeInterval > 0 {
@@ -159,13 +154,13 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 				n.br.failure()
 			} else {
 				n.br.success()
-				gaugeSet(n.queue, float64(h.Queue))
-				gaugeSet(n.running, float64(h.Running))
-				if h.Advertise != "" && h.Advertise != n.addr && c.mismatch != nil {
-					c.mismatch.Inc()
+				n.queue.Set(float64(h.Queue))
+				n.running.Set(float64(h.Running))
+				if h.Advertise != "" && h.Advertise != n.addr {
+					c.met.mismatch.Inc()
 				}
 			}
-			gaugeSet(n.healthy, boolGauge(n.br.current() == breakerClosed))
+			n.healthy.Set(boolGauge(n.br.current() == breakerClosed))
 		}
 	}
 }
@@ -245,7 +240,7 @@ func (c *Coordinator) RunOne(ctx context.Context, req api.Request) (api.Record, 
 	// previous coordinator life; surface it without touching the network.
 	if c.journal != nil {
 		if rec, ok := c.journal.Lookup(key); ok {
-			c.met.incReplay()
+			c.met.replays.Inc()
 			return rec, nil
 		}
 	}
@@ -270,7 +265,7 @@ func (c *Coordinator) RunOne(ctx context.Context, req api.Request) (api.Record, 
 	cursor := 0
 	sched.Ladder{MaxRetries: retries}.Run(ctx, func(n int) sched.Verdict {
 		if n > 0 {
-			c.met.incRetry()
+			c.met.retries.Inc()
 			if bo.Sleep(ctx) != nil {
 				return sched.Done
 			}
@@ -313,15 +308,15 @@ func (c *Coordinator) RunOne(ctx context.Context, req api.Request) (api.Record, 
 		shard.SetAbort(abortClassOf(ctx, lastErr))
 		return api.Record{}, lastErr
 	}
-	c.met.observeLatency(time.Since(start).Seconds())
+	c.met.latency.Observe(time.Since(start).Seconds())
 	if rec.Cached {
-		c.met.incRemoteHit()
+		c.met.remoteHits.Inc()
 		shard.SetAttrs(tracing.Int("remote_cache_hit", 1))
 		// A lake-tier hit means the node answered from its persistent
 		// store: the result predates this campaign (or even this process),
 		// so the sweep deduplicated real work, not just a warm RAM cache.
 		if rec.CacheTier == api.TierLake {
-			c.met.incLakeDedup()
+			c.met.lakeDedups.Inc()
 			shard.SetAttrs(tracing.Int("lake_dedup", 1))
 		}
 	}
@@ -428,7 +423,7 @@ func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, body 
 		}()
 	}
 
-	c.met.incDispatch()
+	c.met.dispatches.Inc()
 	launch(primary, false)
 
 	var hedgeTimer *time.Timer
@@ -446,7 +441,7 @@ func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, body 
 		select {
 		case <-hedgeC:
 			hedgeC = nil
-			c.met.incHedge()
+			c.met.hedges.Inc()
 			hedgeLaunched = true
 			pending++
 			launch(partner, true)
@@ -455,15 +450,15 @@ func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, body 
 			induced := actx.Err() != nil && ctx.Err() == nil
 			if o.err == nil {
 				o.nd.br.success()
-				gaugeSet(o.nd.healthy, 1)
+				o.nd.healthy.Set(1)
 				// Classify the hedge at race-decision time: its success
 				// decided the shard (won) or the primary's did (lost — the
 				// duplicate work bought nothing, however it ends).
 				if hedgeLaunched {
 					if o.hedged {
-						c.met.incHedgeWon()
+						c.met.hedgesWon.Inc()
 					} else {
-						c.met.incHedgeLost()
+						c.met.hedgesLost.Inc()
 					}
 				}
 				cancel() // the race is decided; reel in the loser
@@ -478,11 +473,11 @@ func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, body 
 				// Feeding it to the breaker would let one over-quota tenant
 				// mark the whole fleet dead. Count it, back off (the retry
 				// ladder honors Retry-After), leave the breaker alone.
-				c.met.incThrottled()
+				c.met.throttled.Inc()
 			default:
 				o.nd.br.failure()
-				gaugeSet(o.nd.healthy, boolGauge(o.nd.br.current() == breakerClosed))
-				c.met.incFailure()
+				o.nd.healthy.Set(boolGauge(o.nd.br.current() == breakerClosed))
+				c.met.failures.Inc()
 			}
 			if firstErr == nil {
 				firstErr = o.err
@@ -494,9 +489,9 @@ func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, body 
 	// lost like any other attempt.
 	if hedgeLaunched {
 		if ctx.Err() != nil {
-			c.met.incHedgeCanceled()
+			c.met.hedgesCanceled.Inc()
 		} else {
-			c.met.incHedgeLost()
+			c.met.hedgesLost.Inc()
 		}
 	}
 	return api.Record{}, firstErr

@@ -27,12 +27,16 @@ type metrics struct {
 	integrity      *obs.Counter // replies failing end-to-end verification
 	replays        *obs.Counter // shards replayed from the checkpoint journal
 	throttled      *obs.Counter // attempts refused 429 by fleet admission control
+	mismatch       *obs.Counter // health probes answered under another advertised address
 	latency        *obs.Histogram
 }
 
+// newMetrics claims the instruments on reg. A Coordinator without a
+// registry counts into a private one nobody scrapes, so no call site needs
+// a nil check.
 func newMetrics(reg *obs.Registry) *metrics {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	return &metrics{
 		reg:            reg,
@@ -48,106 +52,21 @@ func newMetrics(reg *obs.Registry) *metrics {
 		integrity:      reg.Counter("cluster_integrity_failures_total", "node replies failing end-to-end verification (hash mismatch, wrong-job echo, malformed record)"),
 		replays:        reg.Counter("cluster_checkpoint_replayed_total", "shards answered from the coordinator's checkpoint journal without dispatch"),
 		throttled:      reg.Counter("cluster_throttled_total", "shard attempts refused with 429 by a node's admission control (tenant quota, not node illness)"),
+		mismatch:       reg.Counter("cluster_advertise_mismatch_total", "health probes answered by a node advertising a different address than routed"),
 		latency: reg.Histogram("cluster_shard_latency_seconds", "per-shard wall time, submission to accepted result",
 			obs.ExpBuckets(0.001, 2, 16)),
-	}
-}
-
-// The per-event helpers are nil-safe so a Coordinator without a registry
-// pays nothing.
-func (m *metrics) incDispatch() {
-	if m != nil {
-		m.dispatches.Inc()
-	}
-}
-
-func (m *metrics) incHedge() {
-	if m != nil {
-		m.hedges.Inc()
-	}
-}
-
-func (m *metrics) incHedgeWon() {
-	if m != nil {
-		m.hedgesWon.Inc()
-	}
-}
-
-func (m *metrics) incHedgeLost() {
-	if m != nil {
-		m.hedgesLost.Inc()
-	}
-}
-
-func (m *metrics) incHedgeCanceled() {
-	if m != nil {
-		m.hedgesCanceled.Inc()
-	}
-}
-
-func (m *metrics) incRetry() {
-	if m != nil {
-		m.retries.Inc()
-	}
-}
-
-func (m *metrics) incFailure() {
-	if m != nil {
-		m.failures.Inc()
-	}
-}
-
-func (m *metrics) incRemoteHit() {
-	if m != nil {
-		m.remoteHits.Inc()
-	}
-}
-
-func (m *metrics) incLakeDedup() {
-	if m != nil {
-		m.lakeDedups.Inc()
-	}
-}
-
-func (m *metrics) incIntegrity() {
-	if m != nil {
-		m.integrity.Inc()
-	}
-}
-
-func (m *metrics) incReplay() {
-	if m != nil {
-		m.replays.Inc()
-	}
-}
-
-func (m *metrics) incThrottled() {
-	if m != nil {
-		m.throttled.Inc()
-	}
-}
-
-func (m *metrics) observeLatency(sec float64) {
-	if m != nil {
-		m.latency.Observe(sec)
 	}
 }
 
 // nodeHealthy returns (claiming on first use) the per-node health gauge:
 // 1 healthy, 0 broken/draining.
 func (m *metrics) nodeHealthy(node string) *obs.Gauge {
-	if m == nil {
-		return nil
-	}
 	return m.reg.Gauge("cluster_node_healthy_"+sanitizeMetricName(node),
 		"node availability: 1 healthy, 0 tripped or draining")
 }
 
 // nodeInFlight returns the per-node in-flight gauge.
 func (m *metrics) nodeInFlight(node string) *obs.Gauge {
-	if m == nil {
-		return nil
-	}
 	return m.reg.Gauge("cluster_node_inflight_"+sanitizeMetricName(node),
 		"requests currently in flight to the node")
 }
@@ -155,17 +74,11 @@ func (m *metrics) nodeInFlight(node string) *obs.Gauge {
 // nodeQueue returns the per-node reported queue-depth gauge (from
 // /healthz), and nodeRunning the reported running-job gauge.
 func (m *metrics) nodeQueue(node string) *obs.Gauge {
-	if m == nil {
-		return nil
-	}
 	return m.reg.Gauge("cluster_node_queue_"+sanitizeMetricName(node),
 		"queued jobs the node reported in its last health probe")
 }
 
 func (m *metrics) nodeRunning(node string) *obs.Gauge {
-	if m == nil {
-		return nil
-	}
 	return m.reg.Gauge("cluster_node_running_"+sanitizeMetricName(node),
 		"running jobs the node reported in its last health probe")
 }
@@ -184,18 +97,4 @@ func sanitizeMetricName(s string) string {
 		}
 	}
 	return b.String()
-}
-
-// gaugeSet is a nil-safe Set.
-func gaugeSet(g *obs.Gauge, v float64) {
-	if g != nil {
-		g.Set(v)
-	}
-}
-
-// gaugeAdd is a nil-safe Add.
-func gaugeAdd(g *obs.Gauge, d float64) {
-	if g != nil {
-		g.Add(d)
-	}
 }

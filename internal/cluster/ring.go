@@ -3,6 +3,8 @@ package cluster
 import (
 	"hash/fnv"
 	"sort"
+
+	"involution/internal/splitmix"
 )
 
 // ringReplicas is the virtual-node count per peer. 128 points per node
@@ -52,28 +54,22 @@ func NewRing(nodes []string) *Ring {
 	return r
 }
 
-// ringHash positions virtual node v of node addr on the ring.
+// ringHash positions virtual node v of node addr on the ring. Raw FNV of
+// short, similar strings ("a:1#0", "a:1#1", …) clusters on the ring badly
+// enough to starve nodes, so both positions go through the splitmix64
+// finalizer, which diffuses every input bit across the output.
 func ringHash(addr string, v int) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(addr))
 	h.Write([]byte{'#', byte(v), byte(v >> 8)})
-	return mix64(h.Sum64())
+	return splitmix.Mix(h.Sum64())
 }
 
 // keyHash positions a content key on the ring.
 func keyHash(key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	return mix64(h.Sum64())
-}
-
-// mix64 is the splitmix64 finalizer. Raw FNV of short, similar strings
-// ("a:1#0", "a:1#1", …) clusters on the ring badly enough to starve
-// nodes; the finalizer diffuses every input bit across the output.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return splitmix.Mix(h.Sum64())
 }
 
 // Nodes returns the ring's members in sorted order.

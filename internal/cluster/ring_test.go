@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func TestRingOrderCoversAllNodesOnce(t *testing.T) {
@@ -88,5 +89,32 @@ func TestRingFailoverOrderStable(t *testing.T) {
 	}
 	if NewRing(nil).Order("x") != nil {
 		t.Fatal("empty ring should return nil order")
+	}
+}
+
+// TestSplitmixStreamsPinned pins ring placement and the Retry-After
+// jitter stream to the values they had before both moved onto
+// internal/splitmix: a drift here moves keys off their warm nodes.
+func TestSplitmixStreamsPinned(t *testing.T) {
+	r := NewRing([]string{"10.0.0.1:8080", "10.0.0.2:8080", "10.0.0.3:8080"})
+	var owners []string
+	for _, k := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
+		owners = append(owners, r.Owner(k))
+	}
+	const n1, n2, n3 = "10.0.0.1:8080", "10.0.0.2:8080", "10.0.0.3:8080"
+	if want := []string{n3, n2, n2, n1, n2, n2, n1, n1}; !reflect.DeepEqual(owners, want) {
+		t.Errorf("owners %q, want %q", owners, want)
+	}
+	if got, want := keyHash("a"), uint64(0x2c0bdbf481420f8); got != want {
+		t.Errorf("keyHash(a) = %#x, want %#x", got, want)
+	}
+	if got, want := ringHash(n1, 3), uint64(0xd1ca3e26d73e020d); got != want {
+		t.Errorf("ringHash = %#x, want %#x", got, want)
+	}
+	state := uint64(42)
+	for i, want := range []time.Duration{1185391219, 1039977598, 1069650282} {
+		if got := jitterStretch(time.Second, &state); got != want {
+			t.Errorf("jitterStretch draw %d = %d, want %d", i, got, want)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 
+	"involution/internal/adversary"
+	"involution/internal/delay"
 	"involution/internal/netlist"
 	"involution/internal/spf"
 )
@@ -32,32 +34,47 @@ func SPFNetlist(adv string, seed int64) (*netlist.Document, *spf.System, error) 
 		return nil, nil, err
 	}
 
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	loopCh := []string{
-		"channel", spf.NodeOr, spf.NodeOr, "1", "exp",
-		"tau=" + g(ReferenceExp.Tau), "tp=" + g(ReferenceExp.TP), "vth=" + g(ReferenceExp.Vth),
-		"eta+=" + g(ReferenceEta.Plus), "eta-=" + g(ReferenceEta.Minus),
-	}
+	var extra []string
 	switch adv {
 	case "", "zero":
 	case "worst", "maxup":
-		loopCh = append(loopCh, "adversary="+adv)
+		extra = []string{"adversary=" + adv}
 	case "uniform", "walk":
-		loopCh = append(loopCh, "adversary="+adv, "seed="+strconv.FormatInt(seed, 10))
+		extra = []string{"adversary=" + adv, "seed=" + strconv.FormatInt(seed, 10)}
 	default:
 		return nil, nil, fmt.Errorf("experiments: unknown adversary %q", adv)
 	}
+	return SPFDocument("spf", ReferenceEta, extra, sys.Buffer, ""), sys, nil
+}
 
-	d := &netlist.Document{Name: "spf"}
+// SPFDocument renders a Fig. 5 SPF netlist named name: the storage loop is
+// the ReferenceExp channel widened to the η interval eta, with the extra
+// loop-channel fields (adversary and its parameters) appended, and the
+// high-threshold buffer is the exp channel buffer. A non-empty tap adds an
+// output port of that name mirroring the loop node through a zero-delay
+// channel, so a remote run returns the loop trace. The statements follow
+// spf.Build's insertion order (the tap's port after the gates, its channel
+// last), so loop events tie exactly as in the in-memory construction.
+func SPFDocument(name string, eta adversary.Eta, loopExtra []string, buffer delay.ExpParams, tap string) *netlist.Document {
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	d := &netlist.Document{Name: name}
 	add := func(fields ...string) { d.Stmts = append(d.Stmts, netlist.Stmt{Fields: fields}) }
 	add("input", spf.NodeIn)
 	add("output", spf.NodeOut)
 	add("gate", spf.NodeOr, "OR2", "init=0")
 	add("gate", spf.NodeHT, "BUF", "init=0")
+	if tap != "" {
+		add("output", tap)
+	}
 	add("channel", spf.NodeIn, spf.NodeOr, "0", "zero")
-	d.Stmts = append(d.Stmts, netlist.Stmt{Fields: loopCh})
+	add(append([]string{"channel", spf.NodeOr, spf.NodeOr, "1", "exp",
+		"tau=" + g(ReferenceExp.Tau), "tp=" + g(ReferenceExp.TP), "vth=" + g(ReferenceExp.Vth),
+		"eta+=" + g(eta.Plus), "eta-=" + g(eta.Minus)}, loopExtra...)...)
 	add("channel", spf.NodeOr, spf.NodeHT, "0", "exp",
-		"tau="+g(sys.Buffer.Tau), "tp="+g(sys.Buffer.TP), "vth="+g(sys.Buffer.Vth))
+		"tau="+g(buffer.Tau), "tp="+g(buffer.TP), "vth="+g(buffer.Vth))
 	add("channel", spf.NodeHT, spf.NodeOut, "0", "zero")
-	return d, sys, nil
+	if tap != "" {
+		add("channel", spf.NodeOr, tap, "0", "zero")
+	}
+	return d
 }

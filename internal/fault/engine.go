@@ -78,8 +78,9 @@ type Engine struct {
 	Opts     Options
 }
 
-// engineMetrics holds the live obs instruments; every field is nil for a
-// registry-less engine, so increments go through the nil-safe helpers.
+// engineMetrics holds the live obs instruments. A registry-less engine
+// counts into a private registry nobody scrapes, so no call site needs a
+// nil check.
 type engineMetrics struct {
 	completed *obs.Counter
 	replayed  *obs.Counter
@@ -87,33 +88,9 @@ type engineMetrics struct {
 	attempts  *obs.Histogram
 }
 
-func (m engineMetrics) incCompleted() {
-	if m.completed != nil {
-		m.completed.Inc()
-	}
-}
-
-func (m engineMetrics) incReplayed() {
-	if m.replayed != nil {
-		m.replayed.Inc()
-	}
-}
-
-func (m engineMetrics) incRetries() {
-	if m.retries != nil {
-		m.retries.Inc()
-	}
-}
-
-func (m engineMetrics) observeAttempts(n int) {
-	if m.attempts != nil {
-		m.attempts.Observe(float64(n))
-	}
-}
-
 func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	if reg == nil {
-		return engineMetrics{}
+		reg = obs.NewRegistry()
 	}
 	return engineMetrics{
 		completed: reg.Counter("fault_engine_completed_total", "scenarios completed by the engine"),
@@ -179,8 +156,8 @@ func (e *Engine) Run(ctx context.Context, scenarios []Scenario) (*Report, error)
 			i := index[row.ID]
 			rows[i] = row
 			done[i] = true
-			met.incReplayed()
-			met.observeAttempts(row.Attempts)
+			met.replayed.Inc()
+			met.attempts.Observe(float64(row.Attempts))
 		}
 	}
 
@@ -220,8 +197,8 @@ func (e *Engine) Run(ctx context.Context, scenarios []Scenario) (*Report, error)
 			// resumed campaign re-runs it.
 			return
 		}
-		met.incCompleted()
-		met.observeAttempts(row.Attempts)
+		met.completed.Inc()
+		met.attempts.Observe(float64(row.Attempts))
 		mu.Lock()
 		rows[i] = row
 		done[i] = true
@@ -277,7 +254,7 @@ func (e *Engine) runAttempts(ctx context.Context, eopts Options, sc Scenario, op
 		if attempt > 0 {
 			// A retry was granted: escalate the resource the previous
 			// attempt exhausted before re-running.
-			met.incRetries()
+			met.retries.Inc()
 			switch lastClass {
 			case sim.ClassBudget:
 				budget *= eopts.RetryFactor

@@ -23,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"involution/internal/splitmix"
 )
 
 // SpanContext is the propagated identity of a span: enough to parent a
@@ -190,13 +192,7 @@ func (t *Tracer) Node() string {
 // collision-unlikely across concurrent tracers seeded by start time).
 func (t *Tracer) nextID() uint64 {
 	for {
-		x := t.id.Add(0x9E3779B97F4A7C15)
-		x ^= x >> 30
-		x *= 0xBF58476D1CE4E5B9
-		x ^= x >> 27
-		x *= 0x94D049BB133111EB
-		x ^= x >> 31
-		if x != 0 {
+		if x := splitmix.Mix(t.id.Add(splitmix.Gamma)); x != 0 {
 			return x
 		}
 	}

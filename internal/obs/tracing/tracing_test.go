@@ -228,3 +228,15 @@ func TestTimelinePicksEarliestRootTrace(t *testing.T) {
 		t.Fatalf("auto trace selection picked %+v, want the earliest root", tl.Spans)
 	}
 }
+
+// TestIDStreamPinned pins identifier generation to its values before the
+// mixer moved onto internal/splitmix.
+func TestIDStreamPinned(t *testing.T) {
+	tr := &Tracer{}
+	tr.id.Store(99)
+	for i, want := range []uint64{0x42f3a9364c476be3, 0x81ab918879d69a4, 0xd5b2d034f041d2fb} {
+		if got := tr.nextID(); got != want {
+			t.Errorf("id %d = %#x, want %#x", i, got, want)
+		}
+	}
+}

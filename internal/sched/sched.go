@@ -15,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"involution/internal/splitmix"
 )
 
 // ForEach runs fn(i) for i = 0 … n-1 on a pool of workers goroutines,
@@ -116,6 +118,7 @@ type Pool struct {
 	queue    chan func()
 	wg       sync.WaitGroup
 	mu       sync.Mutex
+	started  bool // workers run; set by the first Submit
 	closed   bool
 	inflight atomic.Int64
 
@@ -130,8 +133,10 @@ type Pool struct {
 	active  int
 }
 
-// NewPool starts a pool of workers goroutines consuming a queue of at most
+// NewPool returns a pool of workers goroutines consuming a queue of at most
 // depth waiting jobs. workers and depth values below 1 are raised to 1.
+// The workers start on the first Submit, so a pool that is never used
+// runs no goroutine.
 func NewPool(workers, depth int) *Pool {
 	if workers < 1 {
 		workers = 1
@@ -141,17 +146,6 @@ func NewPool(workers, depth int) *Pool {
 	}
 	p := &Pool{queue: make(chan func(), depth), workers: workers, width: workers}
 	p.widthC = sync.NewCond(&p.widthMu)
-	for w := 0; w < workers; w++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for job := range p.queue {
-				p.acquire()
-				p.run(job)
-				p.release()
-			}
-		}()
-	}
 	return p
 }
 
@@ -211,6 +205,20 @@ func (p *Pool) Submit(job func()) error {
 	if p.closed {
 		return ErrPoolClosed
 	}
+	if !p.started {
+		p.started = true
+		for w := 0; w < p.workers; w++ {
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				for job := range p.queue {
+					p.acquire()
+					p.run(job)
+					p.release()
+				}
+			}()
+		}
+	}
 	select {
 	case p.queue <- job:
 		return nil
@@ -260,7 +268,7 @@ type Backoff struct {
 // Next returns the wait before retry n (the n-th call) and advances the
 // sequence.
 func (b *Backoff) Next() time.Duration {
-	b.once.Do(func() { b.state = uint64(b.Seed) ^ 0x9e3779b97f4a7c15 })
+	b.once.Do(func() { b.state = uint64(b.Seed) ^ splitmix.Gamma })
 	if b.Base <= 0 {
 		return 0
 	}
@@ -270,13 +278,7 @@ func (b *Backoff) Next() time.Duration {
 		d = b.Max
 	}
 	if b.Jitter > 0 {
-		// splitmix64 step: cheap, seedable, good enough to decorrelate.
-		b.state += 0x9e3779b97f4a7c15
-		z := b.state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-		frac := float64(z>>11) / float64(1<<53)
+		frac := float64(splitmix.Next(&b.state)>>11) / float64(1<<53)
 		d += time.Duration(float64(d) * b.Jitter * frac)
 	}
 	return d

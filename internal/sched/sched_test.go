@@ -285,3 +285,14 @@ func TestPoolSetWidthNarrowsConcurrency(t *testing.T) {
 	}
 	<-done
 }
+
+// TestBackoffJitterPinned pins the seeded jitter stream to its values
+// before the mixer moved onto internal/splitmix.
+func TestBackoffJitterPinned(t *testing.T) {
+	b := Backoff{Base: time.Millisecond, Max: time.Second, Jitter: 0.5, Seed: 3}
+	for i, want := range []time.Duration{1372890, 2971002, 4888718, 9777058} {
+		if got := b.Next(); got != want {
+			t.Errorf("Next %d = %d, want %d", i, got, want)
+		}
+	}
+}

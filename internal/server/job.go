@@ -37,7 +37,6 @@ type job struct {
 	trace  *traceBuf       // nil unless the submit requested tracing
 	tr     *jobTrace       // nil unless the server's flight recorder is on
 	done   chan struct{}
-	finish sync.Once // guards the terminal transition
 
 	mu  sync.Mutex
 	rec Record

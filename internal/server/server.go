@@ -46,6 +46,7 @@ import (
 	"involution/internal/sched"
 	"involution/internal/server/api"
 	"involution/internal/sim"
+	"involution/internal/splitmix"
 )
 
 // DefaultHorizon is the simulated-time bound applied when a request leaves
@@ -444,33 +445,36 @@ func (s *Server) cacheGet(hash string) (raw json.RawMessage, rhash, tier string,
 
 // serveCached answers a submit with cached result bytes: the job record
 // is terminal at birth, carries the exact payload of the first run, and
-// names the tier that produced it. The per-tier counter rides in the
-// metric name (simd_cache_hits_<tier>_total) since the registry has no
-// labels; simd_cache_hits_total stays the rollup.
+// names the tier that produced it.
 func (s *Server) serveCached(w http.ResponseWriter, c *compiled, raw json.RawMessage, rhash, tier string, remote tracing.SpanContext, t0 time.Time) {
+	s.countHit(tier)
+	j := s.register(c, false)
+	s.beginTrace(j, remote, t0)
+	j.traceCacheLookup(true)
+	now := time.Now()
+	j.mu.Lock()
+	j.rec.Status = StatusCompleted
+	j.rec.Cached = true
+	j.rec.CacheTier = tier
+	j.rec.Finished = &now
+	j.rec.Result = raw
+	j.rec.ResultHash = rhash
+	j.mu.Unlock()
+	s.finishTrace(j, now, StatusCompleted, "")
+	close(j.done)
+	writeJSON(w, http.StatusOK, j.snapshot())
+}
+
+// countHit counts a cache hit by the tier that answered it. The tier rides
+// in the metric name (simd_cache_hits_<tier>_total) since the registry has
+// no labels; simd_cache_hits_total stays the rollup.
+func (s *Server) countHit(tier string) {
 	if tier == api.TierLake {
 		s.met.cacheHitsLake.Inc()
 	} else {
 		s.met.cacheHitsMem.Inc()
 	}
 	s.met.cacheHits.Inc()
-	j := s.register(c, false)
-	s.beginTrace(j, remote, t0)
-	j.traceCacheLookup(true)
-	now := time.Now()
-	j.finish.Do(func() {
-		j.mu.Lock()
-		j.rec.Status = StatusCompleted
-		j.rec.Cached = true
-		j.rec.CacheTier = tier
-		j.rec.Finished = &now
-		j.rec.Result = raw
-		j.rec.ResultHash = rhash
-		j.mu.Unlock()
-		s.finishTrace(j, now, StatusCompleted, "")
-		close(j.done)
-	})
-	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
 // apiKey extracts the tenant key from the X-Api-Key header, falling back
@@ -510,10 +514,7 @@ func (s *Server) jitterN(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	z := s.jitter.Add(0x9e3779b97f4a7c15)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	z := splitmix.Mix(s.jitter.Add(splitmix.Gamma))
 	return int(z % uint64(n+1))
 }
 
@@ -671,19 +672,19 @@ func (s *Server) unregister(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.jobs, id)
-	for i, v := range s.order {
-		if v == id {
+	// The refused job was appended last, modulo concurrent submits: scan
+	// from the back so a 503 costs O(1), not O(jobs ever submitted).
+	for i := len(s.order) - 1; i >= 0; i-- {
+		if s.order[i] == id {
 			s.order = append(s.order[:i], s.order[i+1:]...)
 			break
 		}
 	}
 }
 
-// runJob executes one job on a pool worker. Isolation is layered: sim.Run
-// converts in-simulation panics into typed aborts itself, the deferred
-// recover here catches anything around it (observer plumbing, result
-// assembly), and the pool's own recover is the last resort that keeps the
-// worker alive.
+// runJob executes one job on a pool worker: queue-wait accounting, then
+// execute and finishJob. The pool's own recover is the last resort that
+// keeps the worker alive.
 func (s *Server) runJob(j *job) {
 	start := time.Now()
 	j.mu.Lock()
@@ -719,73 +720,11 @@ func (s *Server) runJob(j *job) {
 		j.tr.queue.EndAt(start)
 		simSp = j.tr.tracer.StartChild(j.tr.root, "sim")
 	}
-
-	defer func() {
-		if r := recover(); r != nil {
-			s.finishJob(j, start, ResultPayload{
-				Status:   StatusAborted,
-				Class:    string(sim.ClassPanic),
-				Error:    fmt.Sprintf("server: panic while running job: %v", r),
-				ExitCode: sim.ExitPanic,
-				Horizon:  j.c.req.Horizon,
-			})
-		}
-	}()
-
-	opts := sim.Options{
-		Horizon:   j.c.req.Horizon,
-		MaxEvents: j.c.req.MaxEvents,
-		Deadline:  j.c.deadline(),
-		Context:   j.ctx,
-	}
+	var observer sim.Observer
 	if j.trace != nil {
-		opts.Observer = newLiveTrace(j.trace)
+		observer = newLiveTrace(j.trace)
 	}
-	simStart := time.Now()
-	res, err := sim.Run(j.c.circuit, j.c.inputs, opts)
-	simEnd := time.Now()
-	s.met.simRun.Observe(simEnd.Sub(simStart).Seconds())
-	s.observeSimTime(simEnd.Sub(simStart))
-	simSp.SetStart(simStart)
-
-	var p ResultPayload
-	switch {
-	case err == nil:
-		outs := make(map[string]string)
-		for _, name := range j.c.circuit.Outputs() {
-			outs[name] = res.Signals[name].String()
-		}
-		stats := res.Stats
-		stats.Duration = 0 // scrubbed for cache determinism; see ResultPayload
-		p = ResultPayload{
-			Status:   StatusCompleted,
-			ExitCode: sim.ExitOK,
-			Events:   res.Events,
-			Horizon:  res.Horizon,
-			Outputs:  outs,
-			Stats:    stats,
-		}
-	default:
-		var ab *sim.AbortError
-		if errors.As(err, &ab) {
-			p = ResultPayload{
-				Status:   StatusAborted,
-				Class:    string(ab.Class()),
-				Error:    ab.Error(),
-				ExitCode: sim.ExitCode(ab.Class()),
-				Horizon:  j.c.req.Horizon,
-				Stats:    ab.Stats,
-			}
-		} else {
-			p = ResultPayload{
-				Status:   StatusAborted,
-				Class:    string(sim.ClassOther),
-				Error:    err.Error(),
-				ExitCode: sim.ExitAbort,
-				Horizon:  j.c.req.Horizon,
-			}
-		}
-	}
+	p := s.execute(j.ctx, j.c, observer)
 	if simSp != nil {
 		simSp.SetAttrs(
 			tracing.Int("scheduled", p.Stats.Scheduled),
@@ -795,57 +734,148 @@ func (s *Server) runJob(j *job) {
 		if p.Status == StatusAborted {
 			simSp.SetAbort(p.Class)
 		}
-		simSp.EndAt(simEnd)
+		simSp.End()
 	}
 	s.finishJob(j, start, p)
 }
 
-// finishJob records the terminal state, feeds the cache and metrics, and
-// releases waiters. The sync.Once makes the terminal transition idempotent
-// even if the recover path re-enters.
-func (s *Server) finishJob(j *job, start time.Time, p ResultPayload) {
-	j.finish.Do(func() {
-		raw, err := json.Marshal(p)
-		if err != nil {
-			raw, _ = json.Marshal(ResultPayload{
-				Status: StatusAborted, Class: string(sim.ClassOther),
-				Error: "server: result encoding: " + err.Error(), ExitCode: sim.ExitAbort,
-			})
-			p.Status = StatusAborted
-		}
-		end := time.Now()
-		rhash := api.ResultHashOf(raw)
-		j.mu.Lock()
-		j.rec.Status = p.Status
-		j.rec.Class = p.Class
-		j.rec.Error = p.Error
-		j.rec.Finished = &end
-		j.rec.Result = raw
-		j.rec.ResultHash = rhash
-		j.mu.Unlock()
-		if p.Status == StatusCompleted {
-			s.cache.put(j.c.hash, cachedResult{raw: raw, hash: rhash}, int64(len(raw)))
-			// Write-through: a completed result is a pure function of the
-			// canonical hash, so it is durable forever. A lake write failure
-			// (disk full, IO error) only costs future hits — the response
-			// already in flight is unaffected.
-			if s.lk != nil {
-				if err := s.lk.Put(j.c.hash, j.c.name, j.c.req.Adversary, raw); err != nil {
-					s.met.lakePutErrors.Inc()
-				}
+// execute runs one compiled request and assembles its result payload:
+// outputs from the circuit's output ports, the wall-clock duration
+// scrubbed, aborts typed by class and exit code. sim.Run converts
+// in-simulation panics into typed aborts itself; the deferred recover
+// here catches anything around it (observer plumbing, result assembly).
+func (s *Server) execute(ctx context.Context, c *compiled, observer sim.Observer) (p ResultPayload) {
+	defer func() {
+		if r := recover(); r != nil {
+			p = ResultPayload{
+				Status:   StatusAborted,
+				Class:    string(sim.ClassPanic),
+				Error:    fmt.Sprintf("server: panic while running job: %v", r),
+				ExitCode: sim.ExitPanic,
+				Horizon:  c.req.Horizon,
 			}
-			s.met.completed.Inc()
-		} else {
-			s.met.aborted.Inc()
 		}
-		s.met.latency.Observe(end.Sub(start).Seconds())
-		s.finishTrace(j, end, p.Status, p.Class)
-		if j.trace != nil {
-			j.trace.close()
-		}
-		j.cancel() // release the context's resources
-		close(j.done)
+	}()
+	simStart := time.Now()
+	res, err := sim.Run(c.circuit, c.inputs, sim.Options{
+		Horizon:   c.req.Horizon,
+		MaxEvents: c.req.MaxEvents,
+		Deadline:  c.deadline(),
+		Context:   ctx,
+		Observer:  observer,
 	})
+	took := time.Since(simStart)
+	s.met.simRun.Observe(took.Seconds())
+	s.observeSimTime(took)
+
+	if err == nil {
+		outs := make(map[string]string)
+		for _, name := range c.circuit.Outputs() {
+			outs[name] = res.Signals[name].String()
+		}
+		stats := res.Stats
+		stats.Duration = 0 // scrubbed for cache determinism; see ResultPayload
+		return ResultPayload{
+			Status:   StatusCompleted,
+			ExitCode: sim.ExitOK,
+			Events:   res.Events,
+			Horizon:  res.Horizon,
+			Outputs:  outs,
+			Stats:    stats,
+		}
+	}
+	p = ResultPayload{
+		Status:   StatusAborted,
+		Class:    string(sim.ClassOther),
+		Error:    err.Error(),
+		ExitCode: sim.ExitAbort,
+		Horizon:  c.req.Horizon,
+	}
+	var ab *sim.AbortError
+	if errors.As(err, &ab) {
+		p.Class, p.Error, p.ExitCode, p.Stats = string(ab.Class()), ab.Error(), sim.ExitCode(ab.Class()), ab.Stats
+	}
+	return p
+}
+
+// store encodes a finished payload and hashes the bytes every client
+// receives, then feeds the cache tiers and outcome counters. Only
+// completed results are cached: an abort may depend on wall-clock budgets
+// or cancellation, a completed result is a pure function of the canonical
+// request. An unencodable payload is replaced by a typed abort.
+func (s *Server) store(c *compiled, p *ResultPayload) (json.RawMessage, string) {
+	raw, err := json.Marshal(p)
+	if err != nil {
+		*p = ResultPayload{
+			Status: StatusAborted, Class: string(sim.ClassOther),
+			Error: "server: result encoding: " + err.Error(), ExitCode: sim.ExitAbort,
+		}
+		raw, _ = json.Marshal(p)
+	}
+	rhash := api.ResultHashOf(raw)
+	if p.Status != StatusCompleted {
+		s.met.aborted.Inc()
+		return raw, rhash
+	}
+	s.cache.put(c.hash, cachedResult{raw: raw, hash: rhash}, int64(len(raw)))
+	// Write-through: a completed result is durable forever. A lake write
+	// failure (disk full, IO error) only costs future hits — the response
+	// already in flight is unaffected.
+	if s.lk != nil {
+		if err := s.lk.Put(c.hash, c.name, c.req.Adversary, raw); err != nil {
+			s.met.lakePutErrors.Inc()
+		}
+	}
+	s.met.completed.Inc()
+	return raw, rhash
+}
+
+// finishJob stores the result, records the terminal state and releases
+// waiters.
+func (s *Server) finishJob(j *job, start time.Time, p ResultPayload) {
+	raw, rhash := s.store(j.c, &p)
+	end := time.Now()
+	j.mu.Lock()
+	j.rec.Status = p.Status
+	j.rec.Class = p.Class
+	j.rec.Error = p.Error
+	j.rec.Finished = &end
+	j.rec.Result = raw
+	j.rec.ResultHash = rhash
+	j.mu.Unlock()
+	s.met.latency.Observe(end.Sub(start).Seconds())
+	s.finishTrace(j, end, p.Status, p.Class)
+	if j.trace != nil {
+		j.trace.close()
+	}
+	j.cancel() // release the context's resources
+	close(j.done)
+}
+
+// RunOne evaluates one request in-process along simd's own job path —
+// compile, tiered cache lookup, execute on the caller's goroutine, store —
+// so the record is exactly what a node would return for the same request,
+// minus the job-table fields (ID, timestamps): *Server is an
+// attack.Evaluator. A request that fails validation returns an error, the
+// way a node's 400 becomes a cluster.Coordinator error.
+func (s *Server) RunOne(ctx context.Context, req Request) (Record, error) {
+	c, err := s.compile(req)
+	if err != nil {
+		return Record{}, err
+	}
+	s.met.submitted.Inc()
+	rec := Record{Circuit: c.name, Hash: c.hash}
+	if raw, rhash, tier, ok := s.cacheGet(c.hash); ok {
+		s.countHit(tier)
+		rec.Status, rec.Cached, rec.CacheTier = StatusCompleted, true, tier
+		rec.Result, rec.ResultHash = raw, rhash
+		return rec, nil
+	}
+	s.met.cacheMisses.Inc()
+	p := s.execute(ctx, c, nil)
+	rec.Result, rec.ResultHash = s.store(c, &p)
+	rec.Status, rec.Class, rec.Error = p.Status, p.Class, p.Error
+	return rec, nil
 }
 
 // Drain stops accepting submissions and waits for queued and running jobs

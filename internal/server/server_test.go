@@ -6,11 +6,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -407,10 +410,93 @@ func TestSubmitValidation(t *testing.T) {
 			if w := doJSON(t, h, "POST", "/v1/jobs", tc.req); w.Code != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
 			}
+			if _, err := s.RunOne(context.Background(), tc.req); err == nil {
+				t.Fatal("RunOne accepted a request the handler refuses")
+			}
 		})
 	}
 	if w := doJSON(t, h, "POST", "/v1/jobs", map[string]any{"nope": 1}); w.Code != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d, want 400", w.Code)
+	}
+}
+
+// TestRunOneMatchesSubmit: the in-process evaluator and the HTTP handler
+// are one job path. Concurrent RunOne calls and waiting submits of one
+// request agree on the canonical hash and the result hash, and both count
+// on the same submit, run and cache-hit counters.
+func TestRunOneMatchesSubmit(t *testing.T) {
+	s := testServer(t)
+	h := s.Handler()
+	req := Request{Netlist: bufNetlist, Inputs: map[string]string{"i": "0 r@1 f@2"}, Horizon: 10}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 8
+	recs := make(chan Record, 2*n)
+	errs := make(chan error, 2*n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			rec, err := s.RunOne(context.Background(), req)
+			if err != nil {
+				errs <- err
+				return
+			}
+			recs <- rec
+		}()
+		go func() {
+			defer wg.Done()
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/jobs?wait=1", bytes.NewReader(body)))
+			var rec Record
+			if err := json.Unmarshal(w.Body.Bytes(), &rec); err != nil || w.Code != http.StatusOK {
+				errs <- fmt.Errorf("submit: status %d: %s", w.Code, w.Body.String())
+				return
+			}
+			recs <- rec
+		}()
+	}
+	wg.Wait()
+	close(recs)
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var first Record
+	for rec := range recs {
+		if rec.Status != StatusCompleted {
+			t.Fatalf("status %s (%s)", rec.Status, rec.Error)
+		}
+		if first.Hash == "" {
+			first = rec
+		}
+		if rec.Hash != first.Hash || rec.ResultHash != first.ResultHash {
+			t.Fatalf("hash %s result %s, want %s result %s", rec.Hash, rec.ResultHash, first.Hash, first.ResultHash)
+		}
+	}
+	sub, ran, hits := s.met.submitted.Value(), s.met.completed.Value(), s.met.cacheHits.Value()
+	if sub != 2*n || ran+hits != 2*n || ran < 1 {
+		t.Fatalf("submitted %d, completed %d, cache hits %d; want %d = completed + hits", sub, ran, hits, 2*n)
+	}
+}
+
+// TestRunOneHonoursDeadlineAndCachesOnlyCompleted: RunOne applies the
+// request's deadline_ms like a worker does, and an aborted run is not
+// cached, so a repeat runs again.
+func TestRunOneHonoursDeadlineAndCachesOnlyCompleted(t *testing.T) {
+	s := testServer(t)
+	req := Request{Netlist: ringNetlist, Horizon: 1e12, MaxEvents: 100_000_000, DeadlineMS: 20}
+	for i := 0; i < 2; i++ {
+		rec, err := s.RunOne(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Status != StatusAborted || rec.Class != string(sim.ClassDeadline) || rec.Cached {
+			t.Fatalf("run %d: status %s class %s cached %v", i, rec.Status, rec.Class, rec.Cached)
+		}
 	}
 }
 
@@ -545,6 +631,19 @@ func retryAfterIn(t *testing.T, got string, base, spread int) {
 	}
 	if n < base || n > base+spread {
 		t.Fatalf("Retry-After = %d, want in [%d, %d]", n, base, base+spread)
+	}
+}
+
+// TestJitterStreamPinned pins the Retry-After jitter stream to its values
+// before the mixer moved onto internal/splitmix.
+func TestJitterStreamPinned(t *testing.T) {
+	s := New(Config{})
+	var got []int
+	for i := 0; i < 8; i++ {
+		got = append(got, s.jitterN(30))
+	}
+	if want := []int{16, 25, 2, 4, 4, 24, 15, 3}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("jitterN stream %v, want %v", got, want)
 	}
 }
 
