@@ -62,9 +62,7 @@ import (
 	"involution/internal/fault"
 	"involution/internal/obs"
 	"involution/internal/obs/tracing"
-	"involution/internal/signal"
 	"involution/internal/sim"
-	"involution/internal/spf"
 )
 
 func main() {
@@ -138,7 +136,7 @@ func (cf *clusterFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&cf.peers, "peers", "", "comma-separated simd node addresses (campaign, attack: empty runs in-process)")
 	fs.DurationVar(&cf.timeout, "timeout", 2*time.Minute, "per-request timeout")
 	fs.DurationVar(&cf.hedge, "hedge", 0, "straggler delay before hedging a shard onto a second node (0: no hedging)")
-	fs.IntVar(&cf.retries, "retries", 0, "per-shard reschedules across distinct nodes (0: try every node once)")
+	fs.IntVar(&cf.retries, "retries", 0, "per-shard reschedules across nodes, two tries per node visited (0: visit every node once)")
 	fs.IntVar(&cf.nodeInFlight, "node-inflight", 4, "concurrent requests per node")
 	fs.StringVar(&cf.chaos, "chaos", "", "inject faults from this chaos schedule (JSON) into every exchange")
 	fs.StringVar(&cf.checkpoint, "checkpoint", "", "crash-safe result journal: completed work is durable before it is surfaced")
@@ -235,26 +233,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fatal(stderr, err)
 		}
-		a := sys.Analysis
-		widths := []float64{
-			0.3 * a.CancelBound,
-			0.9 * a.CancelBound,
-			0.5 * (a.CancelBound + a.Delta0Tilde),
-			0.9 * a.Delta0Tilde,
-			1.2 * a.LockBound,
-			2.0 * a.LockBound,
-		}
-		models := make([]fault.Model, 0, len(widths))
-		for _, w := range widths {
-			models = append(models, fault.SET{At: 5, Width: w})
-		}
-		camp := &fault.Campaign{
-			Circuit: c,
-			Inputs:  map[string]signal.Signal{spf.NodeIn: signal.Zero()},
-			Horizon: *horizon,
-			Seed:    *seed,
-			Probes:  []string{spf.NodeOr, spf.NodeHT},
-		}
+		camp, grid := experiments.SETGrid(c, sys.Analysis, *horizon, *seed)
 		eng := &fault.Engine{Campaign: camp, Opts: fault.Options{
 			Workers:    *workers,
 			MaxRetries: *maxRetries,
@@ -262,14 +241,14 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 			Executor:   &cluster.CampaignExecutor{Coord: coord, Doc: doc, Inputs: camp.Inputs},
 			Tracer:     to.Tracer(),
 		}}
-		site := fault.Site{From: spf.NodeIn, To: spf.NodeOr, Pin: 0}
-		rep, err := eng.Run(ctx, fault.Grid([]fault.Site{site}, models))
+		rep, err := eng.Run(ctx, grid)
 		if errors.Is(err, fault.ErrInterrupted) {
 			fmt.Fprintf(stderr, "simctl: %v — flushing partial report\n", err)
 			interrupted = true
 		} else if err != nil {
 			return fatal(stderr, err)
 		}
+		a := sys.Analysis
 		fmt.Fprintf(stdout, "adversary %s: cancel ≤ %.4f < metastable (Δ̃₀=%.4f) < %.4f ≤ lock\n",
 			adv, a.CancelBound, a.Delta0Tilde, a.LockBound)
 		fmt.Fprint(stdout, rep.Format())

@@ -12,15 +12,15 @@
 //	simd -listen :9090 -workers 8 -queue 128 -cache 512
 //	simd -jobs-json jobs.jsonl -drain 30s
 //	simd -chaos schedule.json               # serve through a fault-injecting middleware (testing)
-//	simd -tenants tenants.json -default-rps 100 -aimd-target 250ms
+//	simd -tenants tenants.json -default-rps 100
 //
 // Overload protection: -tenants / -default-rps switch on per-tenant
 // admission control (API keys via X-Api-Key or a bearer token; quota
 // refusals are 429 + Retry-After), submits carrying an X-Deadline-Ms
 // header are shed with 503 when the estimated queue wait exceeds the
-// budget, and the AIMD limiter (-aimd-target) narrows the effective pool
-// width under congestion instead of letting queue wait collapse goodput.
-// Sheds are counted in the simd_shed_<reason>_total metric family and
+// budget, and a full queue answers 503. The pool runs a fixed -workers
+// jobs at once; the bounded queue and the deadline shed are its only
+// overload controls. Sheds are counted in the simd_shed_<reason>_total metric family and
 // surfaced per node by `simctl top`.
 //
 // Endpoints: POST /v1/jobs (submit; ?wait=1 blocks for the result,
@@ -87,7 +87,6 @@ func run() int {
 	chaosPath := fs.String("chaos", "", "inject faults from this chaos schedule (JSON) into every served exchange — testing only")
 	tenantsPath := fs.String("tenants", "", "multi-tenant admission config (JSON: {\"tenants\":[{\"key\":…,\"rps\":…,\"events_per_sec\":…}],\"default\":{…}}); default: no per-tenant limits")
 	defaultRPS := fs.Float64("default-rps", 0, "request-rate limit applied to every key without a -tenants entry, anonymous included (0: unlimited)")
-	aimdTarget := fs.Duration("aimd-target", 0, "queue-wait latency above which the adaptive limiter narrows the pool (0: default 500ms, negative: fixed-width pool)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return sim.ExitUsage
 	}
@@ -138,7 +137,6 @@ func run() int {
 		FlightSlow:    *flightSlow,
 		FlightAborted: *flightAborted,
 		Admission:     ctl,
-		AIMDTarget:    *aimdTarget,
 	})
 	handler := srv.Handler()
 	if *chaosPath != "" {

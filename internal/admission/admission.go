@@ -1,7 +1,7 @@
 // Package admission is the overload-protection layer between the simd
 // wire and the simulator kernel: per-tenant identity (API keys) with
-// token-bucket request-rate limits and simulated-event budgets, an AIMD
-// adaptive concurrency limiter, and VSA-style coalesced usage counters.
+// token-bucket request-rate limits and simulated-event budgets, and
+// VSA-style coalesced usage counters.
 //
 // The hot path is deliberately lock-free: tenant lookup is an immutable
 // map read (configured tenants) or a sync.Map read (dynamic tenants),

@@ -120,31 +120,6 @@ func TestGCRAEnforcesRateWithinTolerance(t *testing.T) {
 	}
 }
 
-func TestAIMDNarrowsAndRecovers(t *testing.T) {
-	a := &AIMD{Target: 10 * time.Millisecond, Min: 1, Max: 16, Cooldown: time.Nanosecond}
-	if got := a.Limit(); got != 16 {
-		t.Fatalf("initial limit = %d, want Max", got)
-	}
-	a.Observe(time.Second)
-	after1 := a.Limit()
-	if after1 >= 16 {
-		t.Fatalf("limit after congestion = %d, want < 16", after1)
-	}
-	for i := 0; i < 40; i++ {
-		time.Sleep(time.Microsecond) // clear the (1ns) cooldown between decreases
-		a.Observe(time.Second)
-	}
-	if got := a.Limit(); got != 1 {
-		t.Fatalf("limit under sustained congestion = %d, want Min=1", got)
-	}
-	for i := 0; i < 2000; i++ {
-		a.Observe(time.Millisecond)
-	}
-	if got := a.Limit(); got != 16 {
-		t.Fatalf("limit after sustained good latency = %d, want Max=16", got)
-	}
-}
-
 func TestControllerQuotaVsUnlimited(t *testing.T) {
 	c := New(Config{
 		Tenants: []TenantConfig{

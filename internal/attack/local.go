@@ -6,7 +6,7 @@ import "involution/internal/server"
 // mounted on HTTP, so every evaluation runs simd's own compile → cache →
 // execute → store path on the caller's goroutine and a campaign scored
 // locally is bit-identical to one scored by a fleet. The flight recorder
-// and the adaptive concurrency limiter are off; nothing reads them here.
+// is off; nothing reads it here.
 func NewLocal() *server.Server {
-	return server.New(server.Config{FlightSlow: -1, FlightAborted: -1, AIMDTarget: -1})
+	return server.New(server.Config{FlightSlow: -1, FlightAborted: -1})
 }

@@ -39,10 +39,48 @@ func startNode(t *testing.T, cfg server.Config) string {
 	return hs.Listener.Addr().String()
 }
 
+// submitReq encodes req and makes the client's one submit attempt.
+func submitReq(c *Client, node string, req api.Request) (api.Record, error) {
+	body, key, err := req.Encode()
+	if err != nil {
+		return api.Record{}, err
+	}
+	return c.submit(context.Background(), node, body, key)
+}
+
+// refusingProxy fronts a real node with a handler that answers the first n
+// requests with code and Retry-After retryAfter, then passes through. It
+// returns the proxy's address and its request count.
+func refusingProxy(t *testing.T, addr string, n int64, code int, retryAfter string) (string, *atomic.Int64) {
+	t.Helper()
+	var seen atomic.Int64
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if seen.Add(1) <= n {
+			w.Header().Set("Retry-After", retryAfter)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(code)
+			json.NewEncoder(w).Encode(api.ErrorBody{Error: http.StatusText(code)})
+			return
+		}
+		r2, _ := http.NewRequest(r.Method, "http://"+addr+r.URL.RequestURI(), r.Body)
+		r2.Header = r.Header
+		resp, err := http.DefaultClient.Do(r2)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	t.Cleanup(proxy.Close)
+	return proxy.Listener.Addr().String(), &seen
+}
+
 func TestClientSubmitWaitRoundTrip(t *testing.T) {
 	addr := startNode(t, server.Config{})
-	c := NewClient(10*time.Second, 0, 1)
-	rec, err := c.Submit(context.Background(), addr, api.Request{Netlist: bufNetlist, Horizon: 10})
+	c := NewClient(10*time.Second, nil, "")
+	rec, err := submitReq(c, addr, api.Request{Netlist: bufNetlist, Horizon: 10})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -60,8 +98,8 @@ func TestClientSubmitWaitRoundTrip(t *testing.T) {
 
 func TestClientTerminalOn400(t *testing.T) {
 	addr := startNode(t, server.Config{})
-	c := NewClient(5*time.Second, 3, 1)
-	_, err := c.Submit(context.Background(), addr, api.Request{Netlist: "not a netlist"})
+	c := NewClient(5*time.Second, nil, "")
+	_, err := submitReq(c, addr, api.Request{Netlist: "not a netlist"})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("err = %v, want StatusError 400", err)
@@ -71,58 +109,14 @@ func TestClientTerminalOn400(t *testing.T) {
 	}
 }
 
-// TestClientRetriesTransient503 fronts the client with a handler that
-// refuses twice with Retry-After before delegating to a real node, and
-// checks the ladder rides through.
-func TestClientRetriesTransient503(t *testing.T) {
-	addr := startNode(t, server.Config{})
-	var refusals atomic.Int64
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if refusals.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(api.ErrorBody{Error: "queue full"})
-			return
-		}
-		r2, _ := http.NewRequest(r.Method, "http://"+addr+r.URL.RequestURI(), r.Body)
-		r2.Header = r.Header
-		resp, err := http.DefaultClient.Do(r2)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		if _, err := io.Copy(w, resp.Body); err != nil {
-			t.Logf("proxy copy: %v", err)
-		}
-	}))
-	t.Cleanup(proxy.Close)
-
-	c := NewClient(5*time.Second, 3, 42)
-	c.backoffBase = time.Millisecond // keep the test fast
-	rec, err := c.Submit(context.Background(), proxy.Listener.Addr().String(),
-		api.Request{Netlist: bufNetlist, Horizon: 10})
-	if err != nil {
-		t.Fatalf("Submit through flaky proxy: %v", err)
-	}
-	if rec.Status != api.StatusCompleted {
-		t.Fatalf("status = %s, want completed", rec.Status)
-	}
-	if got := refusals.Load(); got != 3 {
-		t.Fatalf("proxy saw %d requests, want 3 (2 refusals + 1 success)", got)
-	}
-}
-
 func TestClientNoRetryBudgetSurfaces503(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "0")
 		http.Error(w, `{"error":"queue full"}`, http.StatusServiceUnavailable)
 	}))
 	t.Cleanup(srv.Close)
-	c := NewClient(2*time.Second, 0, 1)
-	_, err := c.Submit(context.Background(), srv.Listener.Addr().String(), api.Request{Netlist: bufNetlist})
+	c := NewClient(2*time.Second, nil, "")
+	_, err := submitReq(c, srv.Listener.Addr().String(), api.Request{Netlist: bufNetlist})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("err = %v, want StatusError 503", err)
@@ -134,20 +128,21 @@ func TestClientNoRetryBudgetSurfaces503(t *testing.T) {
 
 func TestClientHealthAndVersion(t *testing.T) {
 	addr := startNode(t, server.Config{Advertise: "advertised:1234", Version: "test-v1"})
-	c := NewClient(2*time.Second, 0, 1)
+	c := NewClient(2*time.Second, nil, "")
 	h, err := c.Health(context.Background(), addr)
 	if err != nil || h.Status != "ok" || h.Advertise != "advertised:1234" {
 		t.Fatalf("Health = %+v, %v", h, err)
 	}
-	v, err := c.Version(context.Background(), addr)
+	var v api.Version
+	err = c.getJSON(context.Background(), addr, "/version", &v)
 	if err != nil || v.Service != "simd" || v.Version != "test-v1" || v.Advertise != "advertised:1234" {
 		t.Fatalf("Version = %+v, %v", v, err)
 	}
 }
 
 func TestClientConnectionRefused(t *testing.T) {
-	c := NewClient(time.Second, 0, 1)
-	_, err := c.Submit(context.Background(), "127.0.0.1:1", api.Request{Netlist: bufNetlist})
+	c := NewClient(time.Second, nil, "")
+	_, err := submitReq(c, "127.0.0.1:1", api.Request{Netlist: bufNetlist})
 	if err == nil {
 		t.Fatal("Submit to a dead address should fail")
 	}

@@ -24,6 +24,14 @@
 //     sched.Ladder; simulation aborts (budget, deadline, panic) are payload
 //     outcomes, returned to the caller untouched.
 //
+// The coordinator's ladder is the only retry loop: a Client call is one
+// try. A shard visits nodes in its preference order, up to two tries per
+// visit, and each failed visit feeds the node's breaker once. A 429's
+// Retry-After throttles the tenant on every node, so the ladder always
+// waits it out; a 503's speaks for one node, so the ladder honours it
+// only when its next pick is that same node and otherwise moves on after
+// its normal backoff.
+//
 // The health prober (Prober) drives a per-node circuit breaker: nodes that
 // fail their probes are drained from the ring and their in-flight shards
 // rescheduled on survivors; recovered nodes re-enter through a half-open
@@ -50,8 +58,10 @@ type Options struct {
 	// Hedge is the straggler delay: an attempt older than this gets a
 	// duplicate on the next preferred node (0 disables hedging).
 	Hedge time.Duration
-	// Retries is the per-shard reschedule allowance across distinct nodes
-	// (default: len(Peers)-1, i.e. try every node once).
+	// Retries is the per-shard reschedule allowance. A shard visits the
+	// admitted nodes in its preference order, with up to two tries per
+	// visit, and gets at most 2·(Retries+1) tries in all (default:
+	// len(Peers)-1, i.e. two tries on every node).
 	Retries int
 	// NodeInFlight caps concurrent requests per node (default 4).
 	NodeInFlight int
@@ -97,9 +107,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Retries <= 0 {
 		o.Retries = len(o.Peers) - 1
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
 	}
 	if o.NodeInFlight <= 0 {
 		o.NodeInFlight = 4

@@ -13,7 +13,11 @@ import (
 	"involution/internal/obs/tracing"
 	"involution/internal/sched"
 	"involution/internal/server/api"
+	"involution/internal/splitmix"
 )
+
+// retryPause is the wait before a visit's second try on the same node.
+const retryPause = 50 * time.Millisecond
 
 // ErrNoNodes reports that every node was unavailable (breaker open or
 // draining) when a shard needed one.
@@ -71,23 +75,21 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
+	// Size the connection pool for the coordinator's actual concurrency
+	// (hedges double the per-node demand), or take the caller's transport
+	// as-is — the chaos harness's injection seam.
+	rt := opts.Transport
+	if rt == nil {
+		rt = DefaultTransport(2 * opts.NodeInFlight)
+	}
 	c := &Coordinator{
 		opts:   opts,
-		client: NewClient(opts.Timeout, 1, int64(keyHash(fmt.Sprint(opts.Peers)))),
+		client: NewClient(opts.Timeout, rt, opts.APIKey),
 		ring:   NewRing(opts.Peers),
 		nodes:  make(map[string]*node, len(opts.Peers)),
 		met:    newMetrics(opts.Registry),
 	}
-	// Size the connection pool for the coordinator's actual concurrency
-	// (hedges double the per-node demand), or take the caller's transport
-	// as-is — the chaos harness's injection seam.
-	if opts.Transport != nil {
-		c.client.SetTransport(opts.Transport)
-	} else {
-		c.client.SetTransport(DefaultTransport(2 * opts.NodeInFlight))
-	}
 	c.client.onIntegrity = c.met.integrity.Inc
-	c.client.SetAPIKey(opts.APIKey)
 	if opts.Checkpoint != "" {
 		j, err := OpenJournal(opts.Checkpoint, opts.Resume)
 		if err != nil {
@@ -134,7 +136,9 @@ func (c *Coordinator) Close() {
 
 // probeLoop polls every node's /healthz and feeds the breakers, so dead
 // nodes trip open without burning a shard attempt and recovered nodes
-// rejoin without waiting for live traffic to probe them.
+// rejoin without waiting for live traffic to probe them. Each probe is
+// bounded by one ProbeInterval, so a hung node cannot stall the probes of
+// the nodes after it.
 func (c *Coordinator) probeLoop(ctx context.Context) {
 	defer close(c.probeDone)
 	t := time.NewTicker(c.opts.ProbeInterval)
@@ -146,7 +150,9 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 		case <-t.C:
 		}
 		for _, n := range c.nodes {
-			h, err := c.client.Health(ctx, n.addr)
+			pctx, cancel := context.WithTimeout(ctx, c.opts.ProbeInterval)
+			h, err := c.client.Health(pctx, n.addr)
+			cancel()
 			if ctx.Err() != nil {
 				return
 			}
@@ -184,6 +190,17 @@ func (c *Coordinator) pick(prefs []string, start int) (*node, int) {
 		}
 	}
 	return nil, -1
+}
+
+// admitting returns the node pick would admit scanning from index start,
+// without consuming a half-open trial slot (nil: none right now).
+func (c *Coordinator) admitting(prefs []string, start int) *node {
+	for i := range prefs {
+		if n := c.nodes[prefs[(start+i)%len(prefs)]]; n.br.admitAt().IsZero() {
+			return n
+		}
+	}
+	return nil
 }
 
 // peek returns the next node after index at that WOULD be admitted,
@@ -251,47 +268,93 @@ func (c *Coordinator) RunOne(ctx context.Context, req api.Request) (api.Record, 
 	ctx, shard := c.opts.Tracer.StartSpan(ctx, "dispatch")
 	shard.SetAttrs(tracing.Str("key", key), tracing.Str("route", strings.Join(prefs, ",")))
 	defer shard.End()
-	retries := c.opts.Retries
 	bo := sched.Backoff{
 		Base:   20 * time.Millisecond,
 		Max:    time.Second,
 		Jitter: 0.5,
 		Seed:   int64(keyHash(key)),
 	}
+	jit := uint64(keyHash(key))
 
 	start := time.Now()
 	var rec api.Record
 	var lastErr error
-	cursor := 0
-	sched.Ladder{MaxRetries: retries}.Run(ctx, func(n int) sched.Verdict {
+	// The shard visits nodes in its preference order. A visit is one
+	// breaker admission worth up to two tries: a failure may be a blip, so
+	// the node gets one more try while its breaker stays closed, and only
+	// the visit's outcome feeds the breaker. (A half-open trial gets one
+	// try: its outcome alone decides the breaker.)
+	var visit *node // nil between visits
+	tries, idx, cursor := 0, -1, 0
+	endVisit := func() {
+		if visit != nil && lastErr != nil {
+			c.nodeFailed(visit, lastErr)
+		}
+		visit = nil
+	}
+	sched.Ladder{MaxRetries: 2*c.opts.Retries + 1}.Run(ctx, func(n int) sched.Verdict {
+		if visit != nil && (tries == 2 || visit.br.current() != breakerClosed) {
+			endVisit()
+		}
+		var wait time.Duration
+		// A 429 throttles the tenant on every node: wait out the fleet's
+		// Retry-After whichever node comes next.
+		if se := refusal(lastErr, http.StatusTooManyRequests); se != nil && se.RetryAfter > 0 {
+			wait = jitterStretch(se.RetryAfter, &jit)
+		}
+		// A 503's Retry-After speaks for the node that sent it: honour it
+		// unless another node could take the shard now. Neither the lookup
+		// nor the wait holds a half-open trial: a visit continues only on
+		// a closed breaker, and a new one is picked after the wait.
+		if se := refusal(lastErr, http.StatusServiceUnavailable); se != nil && se.RetryAfter > 0 {
+			if next := c.admitting(prefs, cursor); next != nil && next.addr != se.Node {
+				endVisit()
+			} else {
+				wait = jitterStretch(se.RetryAfter, &jit)
+			}
+		}
 		if n > 0 {
-			c.met.retries.Inc()
-			if bo.Sleep(ctx) != nil {
+			// A visit's second try follows a short fixed pause; moving to
+			// another node follows the shard's exponential backoff.
+			var step time.Duration
+			if visit != nil {
+				step = jitterStretch(retryPause, &jit)
+			} else {
+				step = bo.Next()
+			}
+			if !sleepCtx(ctx, max(wait, step)) {
 				return sched.Done
 			}
 		}
-		primary, idx := c.pick(prefs, cursor)
-		if primary == nil {
-			// Every breaker is refusing. Nothing was dispatched, so this
-			// must not consume the shard's reschedule budget (shards racing
-			// for the single half-open trial slot would drain their ladders
-			// just waiting): wait up to one full cooldown for readmission,
-			// and only charge a retry if the fleet still refuses after it.
-			waitUntil := time.Now().Add(c.opts.BreakerCooldown)
-			for primary == nil && ctx.Err() == nil && time.Now().Before(waitUntil) {
-				c.sleepUntilAdmission(ctx, prefs)
-				primary, idx = c.pick(prefs, cursor)
+		if visit == nil {
+			if n > 0 {
+				c.met.retries.Inc()
 			}
+			primary, i := c.pick(prefs, cursor)
 			if primary == nil {
-				lastErr = ErrNoNodes
-				if ctx.Err() != nil {
-					return sched.Done
+				// Every breaker is refusing. Nothing was dispatched, so this
+				// must not consume the shard's reschedule budget (shards racing
+				// for the single half-open trial slot would drain their ladders
+				// just waiting): wait up to one full cooldown for readmission,
+				// and only charge a retry if the fleet still refuses after it.
+				waitUntil := time.Now().Add(c.opts.BreakerCooldown)
+				for primary == nil && ctx.Err() == nil && time.Now().Before(waitUntil) {
+					c.sleepUntilAdmission(ctx, prefs)
+					primary, i = c.pick(prefs, cursor)
 				}
-				return sched.Retry
+				if primary == nil {
+					lastErr = ErrNoNodes
+					if ctx.Err() != nil {
+						return sched.Done
+					}
+					return sched.Retry
+				}
 			}
+			visit, idx, tries = primary, i, 0
+			cursor = i + 1 // the next visit starts at the next distinct node
 		}
-		cursor = idx + 1 // a reschedule starts at the next distinct node
-		rec, lastErr = c.attempt(ctx, primary, c.peek(prefs, idx), body, key)
+		tries++
+		rec, lastErr = c.attempt(ctx, visit, c.peek(prefs, idx), body, key)
 		switch {
 		case lastErr == nil:
 			return sched.Done
@@ -304,6 +367,7 @@ func (c *Coordinator) RunOne(ctx context.Context, req api.Request) (api.Record, 
 		}
 	})
 	if lastErr != nil {
+		endVisit()
 		shard.SetAttrs(tracing.Str("error", lastErr.Error()))
 		shard.SetAbort(abortClassOf(ctx, lastErr))
 		return api.Record{}, lastErr
@@ -365,11 +429,43 @@ func abortClassOf(ctx context.Context, err error) string {
 	return "dispatch-failed"
 }
 
+// refusal returns err as a node's refusal with HTTP status code, or nil.
+func refusal(err error, code int) *StatusError {
+	var se *StatusError
+	if errors.As(err, &se) && se.Code == code {
+		return se
+	}
+	return nil
+}
+
+// jitterStretch stretches d by a uniform fraction in [0, 25%) drawn from a
+// splitmix64 stream held in state — the client half of thundering-herd
+// avoidance on Retry-After.
+func jitterStretch(d time.Duration, state *uint64) time.Duration {
+	frac := float64(splitmix.Next(state)>>11) / float64(1<<53)
+	return d + time.Duration(float64(d)*0.25*frac)
+}
+
+// sleepCtx waits d or until ctx is done; it reports whether the full wait
+// elapsed.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
 // isThrottle reports a 429 — the fleet's admission control refusing this
 // tenant, not a node failing.
 func isThrottle(err error) bool {
-	var se *StatusError
-	return errors.As(err, &se) && se.Code == http.StatusTooManyRequests
+	return refusal(err, http.StatusTooManyRequests) != nil
 }
 
 // isTerminalRequestError reports a refusal that is a property of the
@@ -380,10 +476,23 @@ func isTerminalRequestError(err error) bool {
 		se.Code != http.StatusTooManyRequests
 }
 
+// nodeFailed feeds a failed request to its node's breaker, unless the
+// error says nothing about the node: a 429 throttles the tenant, and a
+// canceled request was abandoned by its caller.
+func (c *Coordinator) nodeFailed(nd *node, err error) {
+	if isThrottle(err) || errors.Is(err, context.Canceled) {
+		return
+	}
+	nd.br.failure()
+	nd.healthy.Set(boolGauge(nd.br.current() == breakerClosed))
+	c.met.failures.Inc()
+}
+
 // attempt submits the encoded request (body, with its RouteKey key) to
 // primary, hedging a duplicate onto partner when the primary outlives the
-// hedge delay. The first success wins and cancels the loser; breaker
-// bookkeeping ignores the loser's induced cancellation.
+// hedge delay. The first success wins and cancels the loser. A failed
+// hedge feeds its node's breaker here; the primary's error is returned
+// for the caller's visit to account for.
 func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, body []byte, key string) (api.Record, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -398,7 +507,7 @@ func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, body 
 	launch := func(nd *node, hedged bool) {
 		go func() {
 			// Each attempt gets its own span; its context carries it into
-			// Client.Submit, where it becomes the traceparent the node's job
+			// Client.submit, where it becomes the traceparent the node's job
 			// root parents on.
 			sctx, sp := c.opts.Tracer.StartSpan(actx, "attempt")
 			h := int64(0)
@@ -436,7 +545,7 @@ func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, body 
 
 	pending := 1
 	hedgeLaunched := false
-	var firstErr error
+	var primaryErr error
 	for pending > 0 {
 		select {
 		case <-hedgeC:
@@ -465,22 +574,20 @@ func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, body 
 				return o.rec, nil
 			}
 			switch {
-			case induced || errors.Is(o.err, context.Canceled):
+			case induced:
 				// The race's loser; says nothing about the node.
 			case isThrottle(o.err):
 				// 429 is tenant throttling, not node illness: the node
 				// answered promptly and would serve another tenant fine.
 				// Feeding it to the breaker would let one over-quota tenant
-				// mark the whole fleet dead. Count it, back off (the retry
-				// ladder honors Retry-After), leave the breaker alone.
+				// mark the whole fleet dead. Count it, back off (the ladder
+				// honours Retry-After), leave the breaker alone.
 				c.met.throttled.Inc()
-			default:
-				o.nd.br.failure()
-				o.nd.healthy.Set(boolGauge(o.nd.br.current() == breakerClosed))
-				c.met.failures.Inc()
+			case o.hedged:
+				c.nodeFailed(o.nd, o.err)
 			}
-			if firstErr == nil {
-				firstErr = o.err
+			if !o.hedged {
+				primaryErr = o.err
 			}
 		}
 	}
@@ -494,5 +601,5 @@ func (c *Coordinator) attempt(ctx context.Context, primary, partner *node, body 
 			c.met.hedgesLost.Inc()
 		}
 	}
-	return api.Record{}, firstErr
+	return api.Record{}, primaryErr
 }

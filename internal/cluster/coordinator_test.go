@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -396,13 +397,225 @@ func TestCoordinatorThrottleNotBreakerFood(t *testing.T) {
 	if br := c.nodes[proxy.URL].br; br.current() != breakerClosed {
 		t.Fatal("three 429s tripped the breaker; throttling must not count as node illness")
 	}
-	// The client's own retry ladder absorbs some 429s before the
-	// coordinator sees a verdict, so the coordinator-level count is at
-	// least one, not the raw HTTP count.
-	if got := c.met.throttled.Value(); got < 1 {
-		t.Fatalf("cluster_throttled_total = %d, want >= 1", got)
+	// Every 429 reaches the coordinator's ladder: the client makes one
+	// attempt per call.
+	if got := c.met.throttled.Value(); got != 3 {
+		t.Fatalf("cluster_throttled_total = %d, want 3", got)
 	}
 	if got := c.met.failures.Value(); got != 0 {
 		t.Fatalf("cluster_attempt_failure_total = %d, want 0 (429s are not failures)", got)
+	}
+}
+
+// TestCoordinatorRidesThroughTransient503 fronts a one-peer fleet with a
+// proxy that refuses twice with 503 before delegating to a real node: the
+// ladder retries the same node and completes.
+func TestCoordinatorRidesThroughTransient503(t *testing.T) {
+	proxy, seen := refusingProxy(t, startNode(t, server.Config{}), 2, http.StatusServiceUnavailable, "0")
+	c := newTestCoordinator(t, Options{Peers: []string{proxy}, Retries: 2})
+	rec, err := c.RunOne(context.Background(), api.Request{Netlist: bufNetlist, Horizon: 10})
+	if err != nil {
+		t.Fatalf("RunOne through flaky proxy: %v", err)
+	}
+	if rec.Status != api.StatusCompleted {
+		t.Fatalf("status = %s, want completed", rec.Status)
+	}
+	if got := seen.Load(); got != 3 {
+		t.Fatalf("proxy saw %d requests, want 3 (2 refusals + 1 success)", got)
+	}
+}
+
+// TestCoordinatorBreakerCountsVisits pins the breaker's sensitivity to
+// refusals: a visit is two tries on one node and feeds its breaker once,
+// so a threshold-3 breaker stays closed through five consecutive 503s and
+// trips on the sixth.
+func TestCoordinatorBreakerCountsVisits(t *testing.T) {
+	for _, tc := range []struct {
+		refusals     int64
+		wantFailures int64
+		wantOpen     bool
+	}{
+		{refusals: 5, wantFailures: 2, wantOpen: false},
+		{refusals: 6, wantFailures: 3, wantOpen: true},
+	} {
+		proxy, seen := refusingProxy(t, startNode(t, server.Config{}), tc.refusals, http.StatusServiceUnavailable, "0")
+		c := newTestCoordinator(t, Options{
+			Peers:            []string{proxy},
+			Retries:          2, // six tries
+			BreakerThreshold: 3,
+			BreakerCooldown:  time.Minute, // a tripped breaker admits nothing for the test
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		rec, err := c.RunOne(ctx, api.Request{Netlist: bufNetlist, Horizon: 10})
+		cancel()
+		if tc.wantOpen {
+			if err == nil {
+				t.Fatalf("%d refusals: RunOne succeeded on a six-try budget", tc.refusals)
+			}
+		} else if err != nil || rec.Status != api.StatusCompleted {
+			t.Fatalf("%d refusals: RunOne = %v, %v; want completed", tc.refusals, rec.Status, err)
+		}
+		if got := seen.Load(); got != 6 {
+			t.Fatalf("%d refusals: proxy saw %d requests, want 6", tc.refusals, got)
+		}
+		if got := c.met.failures.Value(); got != tc.wantFailures {
+			t.Fatalf("%d refusals: cluster_attempt_failure_total = %d, want %d (one per failed visit)", tc.refusals, got, tc.wantFailures)
+		}
+		if open := c.nodes[proxy].br.current() == breakerOpen; open != tc.wantOpen {
+			t.Fatalf("%d refusals: breaker open = %v, want %v", tc.refusals, open, tc.wantOpen)
+		}
+	}
+}
+
+// TestCoordinatorHonorsRetryAfterOn429 refuses once with 429 Retry-After: 1
+// and checks the ladder waits out the server's ask (the throttle is
+// tenant-wide) rather than just its own 20ms backoff step.
+func TestCoordinatorHonorsRetryAfterOn429(t *testing.T) {
+	proxy, seen := refusingProxy(t, startNode(t, server.Config{}), 1, http.StatusTooManyRequests, "1")
+	c := newTestCoordinator(t, Options{Peers: []string{proxy}})
+	start := time.Now()
+	rec, err := c.RunOne(context.Background(), api.Request{Netlist: bufNetlist, Horizon: 10})
+	if err != nil {
+		t.Fatalf("RunOne through throttling proxy: %v", err)
+	}
+	if rec.Status != api.StatusCompleted {
+		t.Fatalf("status = %s, want completed", rec.Status)
+	}
+	if elapsed := time.Since(start); elapsed < time.Second || elapsed > 5*time.Second {
+		t.Fatalf("retry happened after %v; want Retry-After: 1 honoured (1s–1.25s plus the run)", elapsed)
+	}
+	if got := seen.Load(); got != 2 {
+		t.Fatalf("proxy saw %d requests, want 2", got)
+	}
+}
+
+// TestCoordinatorSkipsDrainingPeer puts a peer answering like a draining
+// simd (503, Retry-After: 60) in front of a healthy one. Its Retry-After
+// speaks for that node only, so the shard must move to the healthy peer
+// after the normal backoff instead of sitting out the minute.
+func TestCoordinatorSkipsDrainingPeer(t *testing.T) {
+	var refused atomic.Int64
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		refused.Add(1)
+		w.Header().Set("Retry-After", "60")
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		io.WriteString(w, `{"error":"server draining"}`)
+	}))
+	t.Cleanup(draining.Close)
+	drainAddr := draining.Listener.Addr().String()
+	c := newTestCoordinator(t, Options{Peers: []string{drainAddr, startNode(t, server.Config{})}})
+
+	// Pick a request whose first preference is the draining peer.
+	var req api.Request
+	for seed := int64(1); ; seed++ {
+		req = api.Request{Netlist: bufNetlist, Horizon: 10, Seed: seed}
+		if c.ring.Order(req.RouteKey())[0] == drainAddr {
+			break
+		}
+	}
+	start := time.Now()
+	rec, err := c.RunOne(context.Background(), req)
+	if err != nil {
+		t.Fatalf("RunOne: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("RunOne took %v behind a draining peer, want < 5s", elapsed)
+	}
+	if rec.Status != api.StatusCompleted {
+		t.Fatalf("status = %s, want completed", rec.Status)
+	}
+	if got := refused.Load(); got != 1 {
+		t.Fatalf("draining peer saw %d submits, want 1", got)
+	}
+}
+
+// TestCoordinatorRetryAfterHoldsNoTrial trips a one-node fleet's breaker
+// and lets its cooldown pass; the half-open trial then draws a 503 with
+// Retry-After: 2. The refused shard waits the two seconds out, but not
+// while holding the trial: a second shard must get it and finish at once.
+func TestCoordinatorRetryAfterHoldsNoTrial(t *testing.T) {
+	proxy, _ := refusingProxy(t, startNode(t, server.Config{}), 1, http.StatusServiceUnavailable, "2")
+	c := newTestCoordinator(t, Options{
+		Peers:            []string{proxy},
+		BreakerThreshold: 1,
+		BreakerCooldown:  100 * time.Millisecond,
+	})
+	c.nodes[proxy].br.failure()
+	time.Sleep(150 * time.Millisecond)
+
+	start := time.Now()
+	refused := make(chan error, 1)
+	go func() {
+		_, err := c.RunOne(context.Background(), api.Request{Netlist: bufNetlist, Horizon: 10, Seed: 1})
+		refused <- err
+	}()
+	time.Sleep(300 * time.Millisecond)
+	second := time.Now()
+	if _, err := c.RunOne(context.Background(), api.Request{Netlist: bufNetlist, Horizon: 10, Seed: 2}); err != nil {
+		t.Fatalf("second shard: %v", err)
+	}
+	if d := time.Since(second); d > 500*time.Millisecond {
+		t.Fatalf("second shard took %v: the refused shard held the half-open trial through its Retry-After", d)
+	}
+	if err := <-refused; err != nil {
+		t.Fatalf("refused shard: %v", err)
+	}
+	if d := time.Since(start); d < 2*time.Second {
+		t.Fatalf("refused shard finished after %v, want its Retry-After: 2 honoured", d)
+	}
+}
+
+// TestCoordinatorRetryBudgetSurfacesIntegrityError fronts a one-peer fleet
+// with a proxy that corrupts every response: once the ladder's default
+// budget (two tries per peer) is spent, RunOne returns the IntegrityError,
+// and every failed verification was counted.
+func TestCoordinatorRetryBudgetSurfacesIntegrityError(t *testing.T) {
+	proxyAddr, _ := corruptingProxy(t, startNode(t, server.Config{}), 1<<30)
+	c := newTestCoordinator(t, Options{Peers: []string{proxyAddr}})
+	_, err := c.RunOne(context.Background(), api.Request{Netlist: bufNetlist, Horizon: 10})
+	var ie *IntegrityError
+	if !errors.As(err, &ie) {
+		t.Fatalf("err = %v, want *IntegrityError", err)
+	}
+	if got := c.met.integrity.Value(); got != 2 {
+		t.Fatalf("cluster_integrity_failures_total = %d, want 2 (two tries on the one peer)", got)
+	}
+}
+
+// TestCoordinatorProbeLoopSurvivesHungPeer runs the health prober against
+// a peer that never answers and a peer whose port is closed. Each probe is
+// bounded by the probe interval, so the hung peer cannot stall the loop:
+// the dead peer's breaker must open within a few intervals, not after the
+// 20s job timeout.
+func TestCoordinatorProbeLoopSurvivesHungPeer(t *testing.T) {
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) })
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := l.Addr().String()
+	l.Close()
+
+	const interval = 50 * time.Millisecond
+	c := newTestCoordinator(t, Options{
+		Peers:         []string{hung.Listener.Addr().String(), dead},
+		Timeout:       20 * time.Second,
+		ProbeInterval: interval,
+	})
+	deadline := time.Now().Add(40 * interval)
+	for c.nodes[dead].br.current() != breakerOpen {
+		if time.Now().After(deadline) {
+			t.Fatalf("dead peer's breaker still %v after %v of probing behind a hung peer", c.nodes[dead].br.current(), 40*interval)
+		}
+		time.Sleep(interval / 5)
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -33,9 +32,9 @@ func TestResultHashOfIgnoresIndentation(t *testing.T) {
 
 func TestServerStampsResultHash(t *testing.T) {
 	addr := startNode(t, server.Config{})
-	c := NewClient(10*time.Second, 0, 1)
+	c := NewClient(10*time.Second, nil, "")
 	req := api.Request{Netlist: bufNetlist, Horizon: 10}
-	rec, err := c.Submit(context.Background(), addr, req)
+	rec, err := submitReq(c, addr, req)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -46,7 +45,7 @@ func TestServerStampsResultHash(t *testing.T) {
 		t.Fatalf("stamped hash %s does not match payload hash %s", rec.ResultHash, got)
 	}
 	// The cached fast path must stamp identically.
-	rec2, err := c.Submit(context.Background(), addr, req)
+	rec2, err := submitReq(c, addr, req)
 	if err != nil {
 		t.Fatalf("cached Submit: %v", err)
 	}
@@ -86,44 +85,39 @@ func corruptingProxy(t *testing.T, addr string, n int64) (string, *atomic.Int64)
 	return proxy.Listener.Addr().String(), &corrupted
 }
 
+// TestClientDetectsCorruptedResult sends one submit through a proxy that
+// corrupts the first response: the client's single attempt must surface
+// an IntegrityError and count it, and the next call must accept the clean
+// record.
 func TestClientDetectsCorruptedResult(t *testing.T) {
 	addr := startNode(t, server.Config{})
-	proxyAddr, corrupted := corruptingProxy(t, addr, 2)
+	proxyAddr, corrupted := corruptingProxy(t, addr, 1)
 
 	var failures atomic.Int64
-	c := NewClient(10*time.Second, 3, 1)
-	c.backoffBase = time.Millisecond
+	c := NewClient(10*time.Second, nil, "")
 	c.onIntegrity = func() { failures.Add(1) }
-	rec, err := c.Submit(context.Background(), proxyAddr, api.Request{Netlist: bufNetlist, Horizon: 10})
-	if err != nil {
-		t.Fatalf("Submit through corrupting proxy: %v", err)
-	}
-	if rec.Status != api.StatusCompleted {
-		t.Fatalf("status = %s, want completed", rec.Status)
-	}
-	if got := corrupted.Load(); got != 2 {
-		t.Fatalf("proxy corrupted %d responses, want 2", got)
-	}
-	if got := failures.Load(); got != 2 {
-		t.Fatalf("onIntegrity fired %d times, want 2", got)
-	}
-	// The accepted record is the clean one.
-	if api.ResultHashOf(rec.Result) != rec.ResultHash {
-		t.Fatal("accepted record fails its own hash")
-	}
-}
-
-func TestClientNoRetryBudgetSurfacesIntegrityError(t *testing.T) {
-	addr := startNode(t, server.Config{})
-	proxyAddr, _ := corruptingProxy(t, addr, 1<<30)
-	c := NewClient(10*time.Second, 0, 1)
-	_, err := c.Submit(context.Background(), proxyAddr, api.Request{Netlist: bufNetlist, Horizon: 10})
+	req := api.Request{Netlist: bufNetlist, Horizon: 10}
+	_, err := submitReq(c, proxyAddr, req)
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("err = %v, want *IntegrityError", err)
 	}
 	if !ie.Temporary() {
 		t.Fatal("IntegrityError must be Temporary")
+	}
+	rec, err := submitReq(c, proxyAddr, req)
+	if err != nil {
+		t.Fatalf("second submit: %v", err)
+	}
+	if got := corrupted.Load(); got != 1 {
+		t.Fatalf("proxy corrupted %d responses, want 1", got)
+	}
+	if got := failures.Load(); got != 1 {
+		t.Fatalf("onIntegrity fired %d times, want 1", got)
+	}
+	// The accepted record is the clean one.
+	if api.ResultHashOf(rec.Result) != rec.ResultHash {
+		t.Fatal("accepted record fails its own hash")
 	}
 }
 
@@ -145,8 +139,8 @@ func TestClientDetectsWrongJobEcho(t *testing.T) {
 	}))
 	t.Cleanup(proxy.Close)
 
-	c := NewClient(10*time.Second, 0, 1)
-	_, err := c.Submit(context.Background(), proxy.Listener.Addr().String(), api.Request{Netlist: bufNetlist, Horizon: 10})
+	c := NewClient(10*time.Second, nil, "")
+	_, err := submitReq(c, proxy.Listener.Addr().String(), api.Request{Netlist: bufNetlist, Horizon: 10})
 	var ie *IntegrityError
 	if !errors.As(err, &ie) {
 		t.Fatalf("err = %v, want *IntegrityError (wrong-job echo)", err)
@@ -180,52 +174,5 @@ func TestVerifyRecordRules(t *testing.T) {
 	ab := api.Record{Status: api.StatusAborted, Result: raw}
 	if err := verifyRecord("n", &ab); err != nil {
 		t.Fatalf("aborted record without hash rejected: %v", err)
-	}
-}
-
-// TestClientHonorsRetryAfterOn429 refuses once with 429 Retry-After: 1 and
-// checks the ladder both retries (429 is Temporary) and waits out the
-// server's ask rather than just its own millisecond backoff.
-func TestClientHonorsRetryAfterOn429(t *testing.T) {
-	addr := startNode(t, server.Config{})
-	var refusals atomic.Int64
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if refusals.Add(1) <= 1 {
-			w.Header().Set("Retry-After", "1")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(api.ErrorBody{Error: "throttled"})
-			return
-		}
-		r2, _ := http.NewRequest(r.Method, "http://"+addr+r.URL.RequestURI(), r.Body)
-		r2.Header = r.Header
-		resp, err := http.DefaultClient.Do(r2)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-	}))
-	t.Cleanup(proxy.Close)
-
-	c := NewClient(10*time.Second, 2, 1)
-	c.backoffBase = time.Millisecond // the 1s wait must come from Retry-After
-	c.backoffMax = 2 * time.Millisecond
-	start := time.Now()
-	rec, err := c.Submit(context.Background(), proxy.Listener.Addr().String(),
-		api.Request{Netlist: bufNetlist, Horizon: 10})
-	if err != nil {
-		t.Fatalf("Submit through throttling proxy: %v", err)
-	}
-	if rec.Status != api.StatusCompleted {
-		t.Fatalf("status = %s, want completed", rec.Status)
-	}
-	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
-		t.Fatalf("retry happened after %v; Retry-After: 1 was not honored", elapsed)
-	}
-	if got := refusals.Load(); got != 2 {
-		t.Fatalf("proxy saw %d requests, want 2", got)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 
 	"involution/internal/adversary"
+	"involution/internal/circuit"
+	"involution/internal/core"
 	"involution/internal/fault"
 	"involution/internal/signal"
 	"involution/internal/spf"
@@ -32,15 +34,6 @@ func SETFilteringSweep(horizon float64, seed int64) ([]SETSweepResult, *spf.Syst
 	if err != nil {
 		return nil, nil, err
 	}
-	a := sys.Analysis
-	widths := []float64{
-		0.3 * a.CancelBound,
-		0.9 * a.CancelBound,
-		0.5 * (a.CancelBound + a.Delta0Tilde),
-		0.9 * a.Delta0Tilde,
-		1.2 * a.LockBound,
-		2.0 * a.LockBound,
-	}
 	rng := rand.New(rand.NewSource(seed))
 	advs := []struct {
 		name string
@@ -57,25 +50,43 @@ func SETFilteringSweep(horizon float64, seed int64) ([]SETSweepResult, *spf.Syst
 		if err != nil {
 			return nil, nil, err
 		}
-		var models []fault.Model
-		for _, w := range widths {
-			models = append(models, fault.SET{At: 5, Width: w})
-		}
-		camp := &fault.Campaign{
-			Circuit: c,
-			Inputs:  map[string]signal.Signal{spf.NodeIn: signal.Zero()},
-			Horizon: horizon,
-			Seed:    seed,
-			Probes:  []string{spf.NodeOr, spf.NodeHT},
-		}
-		site := fault.Site{From: spf.NodeIn, To: spf.NodeOr, Pin: 0}
-		rep, err := camp.Run(fault.Grid([]fault.Site{site}, models))
+		camp, grid := SETGrid(c, sys.Analysis, horizon, seed)
+		rep, err := camp.Run(grid)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%s: %w", adv.name, err)
 		}
 		out = append(out, SETSweepResult{Adversary: adv.name, Report: rep})
 	}
 	return out, sys, nil
+}
+
+// SETGrid is the SET-filtering sweep's campaign on the SPF circuit c whose
+// loop analysis is a: a quiet input, probes on or and ht, and six strikes
+// at t=5 on the in→or/0 site with widths straddling the Theorem 9 regime
+// boundaries (two below the cancel bound, two in the metastable band, two
+// above the lock bound).
+func SETGrid(c *circuit.Circuit, a core.Analysis, horizon float64, seed int64) (*fault.Campaign, []fault.Scenario) {
+	widths := []float64{
+		0.3 * a.CancelBound,
+		0.9 * a.CancelBound,
+		0.5 * (a.CancelBound + a.Delta0Tilde),
+		0.9 * a.Delta0Tilde,
+		1.2 * a.LockBound,
+		2.0 * a.LockBound,
+	}
+	models := make([]fault.Model, 0, len(widths))
+	for _, w := range widths {
+		models = append(models, fault.SET{At: 5, Width: w})
+	}
+	camp := &fault.Campaign{
+		Circuit: c,
+		Inputs:  map[string]signal.Signal{spf.NodeIn: signal.Zero()},
+		Horizon: horizon,
+		Seed:    seed,
+		Probes:  []string{spf.NodeOr, spf.NodeHT},
+	}
+	site := fault.Site{From: spf.NodeIn, To: spf.NodeOr, Pin: 0}
+	return camp, fault.Grid([]fault.Site{site}, models)
 }
 
 // VerifySETSweep checks the regime predictions that hold for EVERY

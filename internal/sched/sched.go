@@ -121,16 +121,7 @@ type Pool struct {
 	started  bool // workers run; set by the first Submit
 	closed   bool
 	inflight atomic.Int64
-
-	// The width gate narrows effective concurrency below the worker count
-	// (an AIMD brownout): workers holding a job wait here until a slot
-	// inside the current width frees up. Width never drops below 1, so a
-	// gated pool always makes progress.
-	workers int
-	widthMu sync.Mutex
-	widthC  *sync.Cond
-	width   int
-	active  int
+	workers  int
 }
 
 // NewPool returns a pool of workers goroutines consuming a queue of at most
@@ -144,50 +135,7 @@ func NewPool(workers, depth int) *Pool {
 	if depth < 1 {
 		depth = 1
 	}
-	p := &Pool{queue: make(chan func(), depth), workers: workers, width: workers}
-	p.widthC = sync.NewCond(&p.widthMu)
-	return p
-}
-
-func (p *Pool) acquire() {
-	p.widthMu.Lock()
-	for p.active >= p.width {
-		p.widthC.Wait()
-	}
-	p.active++
-	p.widthMu.Unlock()
-}
-
-func (p *Pool) release() {
-	p.widthMu.Lock()
-	p.active--
-	p.widthMu.Unlock()
-	p.widthC.Broadcast()
-}
-
-// SetWidth narrows (or re-widens) the pool's effective concurrency to n
-// without restarting workers: jobs already executing finish, but no more
-// than n run at once afterwards. n is clamped to [1, workers]. This is the
-// actuator for an adaptive (AIMD) limiter — brownout by narrowing, not
-// blackout by closing.
-func (p *Pool) SetWidth(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > p.workers {
-		n = p.workers
-	}
-	p.widthMu.Lock()
-	p.width = n
-	p.widthMu.Unlock()
-	p.widthC.Broadcast()
-}
-
-// Width returns the current effective concurrency limit.
-func (p *Pool) Width() int {
-	p.widthMu.Lock()
-	defer p.widthMu.Unlock()
-	return p.width
+	return &Pool{queue: make(chan func(), depth), workers: workers}
 }
 
 func (p *Pool) run(job func()) {
@@ -212,9 +160,7 @@ func (p *Pool) Submit(job func()) error {
 			go func() {
 				defer p.wg.Done()
 				for job := range p.queue {
-					p.acquire()
 					p.run(job)
-					p.release()
 				}
 			}()
 		}

@@ -230,62 +230,6 @@ func TestBackoffZeroBaseAndSleepCancel(t *testing.T) {
 	}
 }
 
-func TestPoolSetWidthNarrowsConcurrency(t *testing.T) {
-	p := NewPool(4, 64)
-	defer p.Close()
-	if got := p.Width(); got != 4 {
-		t.Fatalf("initial width = %d, want 4 (worker count)", got)
-	}
-	p.SetWidth(1)
-	if got := p.Width(); got != 1 {
-		t.Fatalf("width after SetWidth(1) = %d", got)
-	}
-
-	// With width 1 no two jobs may overlap, whatever the worker count.
-	var cur, peak atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		err := p.Submit(func() {
-			defer wg.Done()
-			c := cur.Add(1)
-			for {
-				pk := peak.Load()
-				if c <= pk || peak.CompareAndSwap(pk, c) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-		})
-		if err != nil {
-			wg.Done()
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	wg.Wait()
-	if got := peak.Load(); got != 1 {
-		t.Fatalf("peak concurrency = %d under width 1", got)
-	}
-
-	// Re-widening is clamped to the worker count; out-of-range narrows
-	// clamp to 1 so the pool always makes progress.
-	p.SetWidth(100)
-	if got := p.Width(); got != 4 {
-		t.Fatalf("width after SetWidth(100) = %d, want clamp to 4", got)
-	}
-	p.SetWidth(-3)
-	if got := p.Width(); got != 1 {
-		t.Fatalf("width after SetWidth(-3) = %d, want clamp to 1", got)
-	}
-	p.SetWidth(4)
-	done := make(chan struct{})
-	if err := p.Submit(func() { close(done) }); err != nil {
-		t.Fatalf("submit after re-widen: %v", err)
-	}
-	<-done
-}
-
 // TestBackoffJitterPinned pins the seeded jitter stream to its values
 // before the mixer moved onto internal/splitmix.
 func TestBackoffJitterPinned(t *testing.T) {

@@ -221,9 +221,8 @@ type Health struct {
 	Queue int `json:"queue"`
 	// Running is the number of jobs currently executing.
 	Running int `json:"running"`
-	// Width is the pool's effective concurrency limit — below the worker
-	// count when the AIMD limiter has narrowed it (brownout). Zero when the
-	// node predates width reporting.
+	// Width is the node's worker count: the pool runs that many jobs at
+	// once. Zero when the node predates width reporting.
 	Width int `json:"width,omitempty"`
 	// Shed counts capacity refusals (503: queue full, deadline infeasible,
 	// disconnected-while-queued) since start.

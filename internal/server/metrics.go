@@ -41,7 +41,6 @@ type metrics struct {
 	shedDisconnect *obs.Counter
 
 	queueDepth     *obs.Gauge
-	poolWidth      *obs.Gauge
 	inFlight       *obs.Gauge
 	cacheEntries   *obs.Gauge
 	cacheBytes     *obs.Gauge
@@ -76,7 +75,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		shedDisconnect: reg.Counter("simd_shed_disconnect_total", "queued jobs canceled because their waiting client disconnected"),
 
 		queueDepth:     reg.Gauge("simd_queue_depth", "jobs waiting in the worker-pool queue"),
-		poolWidth:      reg.Gauge("simd_pool_width", "effective worker-pool concurrency (AIMD brownout narrows it below the worker count)"),
 		inFlight:       reg.Gauge("simd_jobs_inflight", "jobs currently simulating"),
 		cacheEntries:   reg.Gauge("simd_cache_entries", "results held by the RAM LRU cache"),
 		cacheBytes:     reg.Gauge("simd_cache_bytes", "payload bytes held by the RAM LRU cache"),
@@ -112,7 +110,6 @@ func (m *metrics) capacitySheds() int64 {
 // refresh recomputes the instantaneous gauges from live server state.
 func (m *metrics) refresh(s *Server) {
 	m.queueDepth.Set(float64(s.pool.Depth()))
-	m.poolWidth.Set(float64(s.pool.Width()))
 	// Commit the admission accumulators — this scrape IS the coalesced
 	// flush the per-request Δ-adds were deferring — and publish one gauge
 	// set per tenant. Gauges (not counters) because a baseline is a level

@@ -96,10 +96,6 @@ type Config struct {
 	// limits, event budgets). Nil admits everything — the single-user
 	// default.
 	Admission *admission.Controller
-	// AIMDTarget is the queue-wait latency above which the adaptive
-	// concurrency limiter narrows the pool (brownout). Zero uses the
-	// default 500ms; negative disables the limiter.
-	AIMDTarget time.Duration
 }
 
 // Retry-After bases and spreads (seconds) for 503/429 responses so polite
@@ -129,8 +125,7 @@ type Server struct {
 	flight   *tracing.FlightRecorder // nil: tracing disabled
 	node     string                  // span node label (Advertise or "simd")
 
-	admit   *admission.Controller // nil: permissive
-	limiter *admission.AIMD       // nil: fixed-width pool
+	admit *admission.Controller // nil: permissive
 	// ewmaSim is an EWMA of recent sim-run wall time (float64 seconds as
 	// bits) — the per-job service-time estimate behind deadline-aware
 	// shedding.
@@ -190,13 +185,6 @@ func New(cfg Config) *Server {
 		node:     cfg.Advertise,
 		admit:    cfg.Admission,
 	}
-	if cfg.AIMDTarget >= 0 {
-		target := cfg.AIMDTarget
-		if target == 0 {
-			target = 500 * time.Millisecond
-		}
-		s.limiter = &admission.AIMD{Target: target, Min: 1, Max: cfg.Workers}
-	}
 	if s.node == "" {
 		s.node = "simd"
 	}
@@ -242,7 +230,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Advertise: s.cfg.Advertise,
 		Queue:     s.pool.Depth(),
 		Running:   s.pool.InFlight(),
-		Width:     s.pool.Width(),
+		Width:     s.cfg.Workers,
 		Shed:      s.met.capacitySheds(),
 		Throttled: s.met.quotaSheds(),
 	}
@@ -552,7 +540,7 @@ func (s *Server) observeSimTime(d time.Duration) {
 }
 
 // estQueueWait estimates how long a submit accepted now would wait for a
-// worker: jobs ahead of it × EWMA service time ÷ effective pool width.
+// worker: jobs ahead of it × EWMA service time ÷ worker count.
 // Zero until the first job finishes — a cold server sheds nothing on
 // deadline grounds.
 func (s *Server) estQueueWait() time.Duration {
@@ -560,12 +548,8 @@ func (s *Server) estQueueWait() time.Duration {
 	if ewma <= 0 {
 		return 0
 	}
-	width := s.pool.Width()
-	if width < 1 {
-		width = 1
-	}
 	ahead := float64(s.pool.Depth() + 1)
-	return time.Duration(ahead * ewma / float64(width) * float64(time.Second))
+	return time.Duration(ahead * ewma / float64(s.cfg.Workers) * float64(time.Second))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -692,14 +676,7 @@ func (s *Server) runJob(j *job) {
 	j.rec.Started = &start
 	submitted := j.rec.Submitted
 	j.mu.Unlock()
-	queueWait := start.Sub(submitted)
-	s.met.queueWait.Observe(queueWait.Seconds())
-	// Queue wait is the congestion signal: while it stays under target the
-	// limiter re-widens additively; when it blows past target the pool
-	// narrows multiplicatively — brownout before collapse.
-	if s.limiter != nil {
-		s.pool.SetWidth(s.limiter.Observe(queueWait))
-	}
+	s.met.queueWait.Observe(start.Sub(submitted).Seconds())
 
 	// Fast release: a job canceled while it was still queued (waiting
 	// client disconnected, or Drain timed out) gives its worker slot back
