@@ -9,9 +9,8 @@
 // Usage:
 //
 //	simd                                  # listen on :8080
-//	simd -listen :9090 -workers 8 -queue 128 -cache 512
+//	simd -listen :9090 -workers 8 -queue 128 -cache-bytes 67108864
 //	simd -jobs-json jobs.jsonl -drain 30s
-//	simd -chaos schedule.json               # serve through a fault-injecting middleware (testing)
 //	simd -tenants tenants.json -default-rps 100
 //
 // Overload protection: -tenants / -default-rps switch on per-tenant
@@ -32,8 +31,8 @@
 // as JSONL span trees (?trace=, ?hash=, ?n= filters), the data behind
 // `simctl trace` and `simctl top`. Every job is traced into the flight
 // recorder; submits carrying a W3C traceparent header stitch into the
-// caller's distributed trace. Size the recorder with -flight-slow /
-// -flight-aborted.
+// caller's distributed trace. The recorder keeps the 32 slowest and the
+// 64 most recent aborted jobs.
 //
 // On SIGINT/SIGTERM the server drains gracefully: new submissions are
 // rejected with 503, queued and running jobs finish (jobs still running
@@ -58,7 +57,6 @@ import (
 	"time"
 
 	"involution/internal/admission"
-	"involution/internal/chaos"
 	"involution/internal/lake"
 	"involution/internal/server"
 	"involution/internal/sim"
@@ -82,9 +80,6 @@ func run() int {
 	advertise := fs.String("advertise", "", "address this node believes it serves on, echoed in /healthz and /version so coordinators can verify routing (default: none)")
 	jobsJSON := fs.String("jobs-json", "", "flush job records to this file as JSONL on shutdown")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-drain bound; stragglers are canceled after it")
-	flightSlow := fs.Int("flight-slow", 0, "flight-recorder slots for the slowest traced jobs (0: default 32, negative: off)")
-	flightAborted := fs.Int("flight-aborted", 0, "flight-recorder slots for recent aborted jobs (0: default 64, negative: off)")
-	chaosPath := fs.String("chaos", "", "inject faults from this chaos schedule (JSON) into every served exchange — testing only")
 	tenantsPath := fs.String("tenants", "", "multi-tenant admission config (JSON: {\"tenants\":[{\"key\":…,\"rps\":…,\"events_per_sec\":…}],\"default\":{…}}); default: no per-tenant limits")
 	defaultRPS := fs.Float64("default-rps", 0, "request-rate limit applied to every key without a -tenants entry, anonymous included (0: unlimited)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -128,28 +123,15 @@ func run() int {
 			*lakeDir, st.Entries, st.Bytes, st.Segments)
 	}
 	srv := server.New(server.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		CacheBytes:    *cacheBytes,
-		Lake:          lk,
-		Version:       version,
-		Advertise:     *advertise,
-		FlightSlow:    *flightSlow,
-		FlightAborted: *flightAborted,
-		Admission:     ctl,
+		Workers:    *workers,
+		QueueDepth: *queue,
+		CacheBytes: *cacheBytes,
+		Lake:       lk,
+		Version:    version,
+		Advertise:  *advertise,
+		Admission:  ctl,
 	})
-	handler := srv.Handler()
-	if *chaosPath != "" {
-		sched, err := chaos.LoadSchedule(*chaosPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "simd: -chaos: %v\n", err)
-			return sim.ExitUsage
-		}
-		fmt.Fprintf(os.Stderr, "simd: CHAOS MODE — injecting schedule %q (seed %d, %d rules)\n",
-			sched.Name, sched.Seed, len(sched.Rules))
-		handler = chaos.Middleware(sched, handler)
-	}
-	hs := &http.Server{Addr: *listen, Handler: handler}
+	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
 
 	ctx, stop := ossignal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

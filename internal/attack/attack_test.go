@@ -12,14 +12,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
-	"involution/internal/fault"
 	"involution/internal/journal"
-	"involution/internal/netlist"
 	"involution/internal/obs"
-	"involution/internal/signal"
 )
 
 func TestDimSnapLattice(t *testing.T) {
@@ -456,50 +452,6 @@ func TestJournalResumesV1File(t *testing.T) {
 	}
 	if got := j.Entries(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovered %+v, want %+v", got, want)
-	}
-}
-
-// TestClassFlipFindsMinimalEscapingSET searches the SET space of an edge
-// whose downstream path filters inertially (width 0.5): the weakest
-// escaping pulse must be exactly the filter width. (The strike lands at
-// the gate input pin, downstream of the struck edge's own channel, so the
-// filter has to sit on the gate's output edge to mask anything.)
-func TestClassFlipFindsMinimalEscapingSET(t *testing.T) {
-	src := `circuit flip
-input i
-output o
-gate g BUF init=0
-channel i g 0 zero
-channel g o 0 inertial d=1 w=0.5
-`
-	doc, err := netlist.ParseDocument(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eval := NewLocal()
-	o, err := NewClassFlip(context.Background(), eval, doc,
-		map[string]signal.Signal{"i": signal.Zero()},
-		fault.Site{From: "i", To: "g", Pin: 0}, []string{"g"}, 1.5, 20, 1<<18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, _ := NewSearcher("cem")
-	res, err := Run(context.Background(), Config{
-		Objective: o, Searcher: sr, Eval: eval,
-		Generations: 8, Batch: 12, Seed: 3, Workers: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Breaking == 0 || !res.Best.Eval.Breaking {
-		t.Fatalf("no escaping SET found: best %+v", res.Best)
-	}
-	if res.Best.Eval.Detail != fault.Propagated.String() {
-		t.Errorf("best outcome = %s, want %s", res.Best.Eval.Detail, fault.Propagated)
-	}
-	// The narrowest escaping pulse is the inertial filter width itself.
-	if got := res.Best.X[1]; got != 0.5 {
-		t.Errorf("weakest escaping width = %g, want 0.5", got)
 	}
 }
 

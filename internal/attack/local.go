@@ -8,5 +8,5 @@ import "involution/internal/server"
 // locally is bit-identical to one scored by a fleet. The flight recorder
 // is off; nothing reads it here.
 func NewLocal() *server.Server {
-	return server.New(server.Config{FlightSlow: -1, FlightAborted: -1})
+	return server.New(server.Config{FlightOff: true})
 }

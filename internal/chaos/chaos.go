@@ -3,8 +3,7 @@
 // on the infrastructure that serves it. A declarative Schedule describes
 // which faults strike which nodes with what probability inside which time
 // windows; Transport applies it client-side as an http.RoundTripper
-// wrapped around cluster.Client's real transport, and Middleware applies
-// it server-side around simd's handler.
+// wrapped around cluster.Client's real transport.
 //
 // Determinism: every injection decision is a pure function of
 // (schedule seed, rule index, request identity, occurrence number), where
@@ -92,10 +91,6 @@ type Rule struct {
 	Burst int `json:"burst,omitempty"`
 	// Flips is the number of bytes a corrupt fault mutates (default 3).
 	Flips int `json:"flips,omitempty"`
-
-	// ruleIdx is the rule's schedule position, stamped on copies queued as
-	// body faults so their mutation streams stay rule-distinct.
-	ruleIdx int
 }
 
 // prob returns the rule's effective probability.

@@ -383,66 +383,6 @@ func TestGenerateSchedulesValid(t *testing.T) {
 	}
 }
 
-func TestMiddlewareStatusAndCorrupt(t *testing.T) {
-	full := `{"result":"0123456789abcdef0123456789abcdef"}`
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		io.WriteString(w, full)
-	})
-
-	// Status refusal.
-	s1 := httptest.NewServer(Middleware(&Schedule{Seed: 1, Rules: []Rule{{Fault: FaultStatus, P: 1, Status: 502, RetryAfter: 3}}}, inner))
-	defer s1.Close()
-	resp, err := http.Post(s1.URL+"/v1/jobs", "application/json", strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 502 || resp.Header.Get("Retry-After") != "3" {
-		t.Fatalf("status=%d retry-after=%q, want 502/3", resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	resp.Body.Close()
-
-	// Corruption: body differs, same length.
-	s2 := httptest.NewServer(Middleware(&Schedule{Seed: 2, Rules: []Rule{{Fault: FaultCorrupt, P: 1}}}, inner))
-	defer s2.Close()
-	resp, err = http.Post(s2.URL+"/v1/jobs", "application/json", strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) == full || len(body) != len(full) {
-		t.Fatalf("middleware corruption wrong: %q", body)
-	}
-}
-
-func TestMiddlewareResetAndTruncate(t *testing.T) {
-	full := `{"result":"` + strings.Repeat("y", 600) + `"}`
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.Copy(io.Discard, r.Body)
-		io.WriteString(w, full)
-	})
-
-	s1 := httptest.NewServer(Middleware(&Schedule{Seed: 1, Rules: []Rule{{Fault: FaultReset, P: 1}}}, inner))
-	defer s1.Close()
-	if resp, err := http.Post(s1.URL+"/v1/jobs", "application/json", strings.NewReader(`{}`)); err == nil {
-		resp.Body.Close()
-		t.Fatal("reset middleware returned a clean response")
-	}
-
-	s2 := httptest.NewServer(Middleware(&Schedule{Seed: 4, Rules: []Rule{{Fault: FaultTruncate, P: 1}}}, inner))
-	defer s2.Close()
-	resp, err := http.Post(s2.URL+"/v1/jobs", "application/json", strings.NewReader(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err == nil && len(body) >= len(full) {
-		t.Fatalf("truncate middleware delivered a full clean body (%d bytes, err=%v)", len(body), err)
-	}
-}
-
 func TestLoadScheduleRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/sched.json"

@@ -94,7 +94,25 @@ func TestCoordinatorReschedulesAroundDeadNode(t *testing.T) {
 	dead := l.Addr().String()
 	l.Close()
 
-	reqs := sweepRequests(10)
+	// The breaker trips only after BreakerThreshold (2) failed visits, and
+	// the dead port is random, so seeds 1..10 alone sometimes route just
+	// one shard there. Build the 10-shard set so that at least two shards
+	// prefer dead.
+	ring := NewRing([]string{healthy, dead})
+	var reqs []api.Request
+	toDead := 0
+	for seed := int64(1); len(reqs) < 10; seed++ {
+		if seed > 10_000 {
+			t.Fatal("no 10-shard set with two shards preferring the dead node; ring broken")
+		}
+		req := api.Request{Netlist: bufNetlist, Horizon: 10, Seed: seed}
+		if ring.Owner(req.RouteKey()) == dead {
+			toDead++
+		} else if len(reqs)-toDead == 8 {
+			continue // keep two slots for shards that prefer dead
+		}
+		reqs = append(reqs, req)
+	}
 	ref := newTestCoordinator(t, Options{Peers: []string{healthy}, Timeout: 30 * time.Second})
 	wantRecs, err := ref.Run(context.Background(), reqs, 0)
 	if err != nil {

@@ -219,7 +219,7 @@ func sourceInitial(nodes docNodes, inputs map[string]signal.Signal, docName, fro
 // edges, then the three fault edges), plus one tap output per non-output
 // probe. It returns the instrumented document and the tap→probe name
 // mapping. It is the netlist-level twin of fault.Instrument, shared by the
-// campaign executor and the attack subsystem's class-flip objective.
+// campaign executor and stackbench's sweep workload.
 func InstrumentOverlay(srcDoc *netlist.Document, inputs map[string]signal.Signal, site fault.Site, ov fault.Overlay, probes []string) (*netlist.Document, map[string]string, error) {
 	nodes, err := indexNodes(srcDoc)
 	if err != nil {

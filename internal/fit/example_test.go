@@ -1,14 +1,7 @@
-// Noise-fit: the full Section V methodology end to end — measure an analog
-// inverter (the ASIC substitute), calibrate an exp-channel to it, perturb
-// the supply with a 1 % sine, and check whether the feasible η band of
-// constraint (C) covers the resulting deviations near T = 0.
-//
-//	go run ./examples/noisefit
-package main
+package fit_test
 
 import (
 	"fmt"
-	"log"
 	"math"
 	"math/rand"
 
@@ -17,7 +10,11 @@ import (
 	"involution/internal/fit"
 )
 
-func main() {
+// Example_noiseFit runs the full Section V methodology end to end: measure
+// an analog inverter (the ASIC substitute), calibrate an exp-channel to it,
+// perturb the supply with a 1 % sine, and check whether the feasible η band
+// of constraint (C) covers the resulting deviations near T = 0.
+func Example_noiseFit() {
 	// The device under test: a slew-aware (second-order) inverter whose
 	// crossing times are deliberately NOT an involution.
 	nominal := analog.Inverter{Model: analog.SecondOrder, Tau: 1, Tau2: 0.3, TP: 0.25}
@@ -27,18 +24,12 @@ func main() {
 	}
 
 	fmt.Println("1. measuring the nominal inverter …")
-	m, err := analog.Measure(nominal, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
+	m, _ := analog.Measure(nominal, cfg)
 	fmt.Printf("   %d δ↑ samples, %d δ↓ samples (%d stimuli skipped as sub-threshold)\n",
 		len(m.Up), len(m.Down), m.Skipped)
 
 	fmt.Println("2. fitting an exp-channel (Nelder–Mead least squares) …")
-	res, err := fit.FitExp(m.Up, m.Down)
-	if err != nil {
-		log.Fatal(err)
-	}
+	res, _ := fit.FitExp(m.Up, m.Down)
 	fmt.Printf("   τ=%.4f Tp=%.4f Vth=%.4f (RMSE %.2g)\n", res.Params.Tau, res.Params.TP, res.Params.Vth, res.RMSE)
 	pair := delay.MustExp(res.Params)
 	dmin, _ := pair.DeltaMin()
@@ -51,19 +42,13 @@ func main() {
 		one.Widths = []float64{w}
 		noisy := nominal
 		noisy.Sup = analog.SineSupply{V0: 1, Amp: 0.01, Period: 2.7, Phase: 2 * math.Pi * rng.Float64()}
-		mn, err := analog.Measure(noisy, one)
-		if err != nil {
-			log.Fatal(err)
-		}
+		mn, _ := analog.Measure(noisy, one)
 		up = append(up, mn.Up...)
 		down = append(down, mn.Down...)
 	}
 
 	fmt.Println("4. comparing deviations against the feasible η band …")
-	band, err := fit.FeasibleBand(pair, 0.1*dmin)
-	if err != nil {
-		log.Fatal(err)
-	}
+	band, _ := fit.FeasibleBand(pair, 0.1*dmin)
 	devs := append(fit.Deviations(up, pair.Up), fit.Deviations(down, pair.Down)...)
 	covLow := fit.Coverage(devs, band, dmin)
 	covAll := fit.Coverage(devs, band, math.Inf(1))
@@ -76,4 +61,15 @@ func main() {
 	if covLow == 1 {
 		fmt.Println("   → the η-involution model absorbs the supply noise where it matters.")
 	}
+	// Output:
+	// 1. measuring the nominal inverter …
+	//    41 δ↑ samples, 41 δ↓ samples (9 stimuli skipped as sub-threshold)
+	// 2. fitting an exp-channel (Nelder–Mead least squares) …
+	//    τ=1.1346 Tp=0.5048 Vth=0.4979 (RMSE 0.023)
+	// 3. re-measuring under a 1 % supply sine with random phase …
+	// 4. comparing deviations against the feasible η band …
+	//    η band [−0.2755, +0.0505], δmin = 0.5048
+	//    max |D| = 0.1031 for T ≤ δmin, 0.1031 overall (at T = -0.38)
+	//    coverage: 100% for T ≤ δmin (the faithfulness-relevant range), 99% overall
+	//    → the η-involution model absorbs the supply noise where it matters.
 }

@@ -85,13 +85,11 @@ type Config struct {
 	// reached the node they routed to (empty: omitted). It also labels the
 	// node's trace spans, so cross-node timelines name real addresses.
 	Advertise string
-	// FlightSlow bounds the flight recorder's slowest-jobs retention and
-	// FlightAborted its recent-aborted-jobs ring (defaults 32 and 64;
-	// negative disables a class). The recorder backs GET /debug/jobs with
-	// full span trees; disabling both turns per-job tracing off entirely,
+	// FlightOff turns the flight recorder off. The recorder keeps the 32
+	// slowest and the 64 most recent aborted jobs and backs GET /debug/jobs
+	// with full span trees; without it per-job tracing is off entirely,
 	// restoring the zero-allocation submit path.
-	FlightSlow    int
-	FlightAborted int
+	FlightOff bool
 	// Admission is the multi-tenant admission controller (API keys, rate
 	// limits, event budgets). Nil admits everything — the single-user
 	// default.
@@ -165,13 +163,6 @@ func New(cfg Config) *Server {
 	if cfg.Version == "" {
 		cfg.Version = "dev"
 	}
-	slowN, abortedN := cfg.FlightSlow, cfg.FlightAborted
-	if slowN == 0 {
-		slowN = 32
-	}
-	if abortedN == 0 {
-		abortedN = 64
-	}
 	s := &Server{
 		cfg:      cfg,
 		reg:      cfg.Registry,
@@ -188,8 +179,8 @@ func New(cfg Config) *Server {
 	if s.node == "" {
 		s.node = "simd"
 	}
-	if slowN > 0 || abortedN > 0 {
-		s.flight = tracing.NewFlightRecorder(max(slowN, 0), max(abortedN, 0))
+	if !cfg.FlightOff {
+		s.flight = tracing.NewFlightRecorder(32, 64)
 	}
 	s.met = newMetrics(s.reg)
 	obs.RegisterBuildInfo(s.reg, "simd", cfg.Version)

@@ -98,7 +98,7 @@ func (s *Server) finishTrace(j *job, end time.Time, status Status, class string)
 // line, slowest first, filtered by ?trace=, ?hash= and capped by ?n=.
 func (s *Server) handleDebugJobs(w http.ResponseWriter, r *http.Request) {
 	if s.flight == nil {
-		writeError(w, http.StatusNotFound, "flight recorder disabled (simd -flight-slow / -flight-aborted)")
+		writeError(w, http.StatusNotFound, "flight recorder disabled")
 		return
 	}
 	q := r.URL.Query()

@@ -159,10 +159,10 @@ func TestAbortedJobInFlightRecorder(t *testing.T) {
 	}
 }
 
-// TestTracingDisabled checks negative flight bounds turn tracing off: no
+// TestTracingDisabled checks FlightOff turns tracing off: no
 // trace IDs on records, 404 from /debug/jobs — and jobs still run.
 func TestTracingDisabled(t *testing.T) {
-	s := New(Config{Workers: 2, FlightSlow: -1, FlightAborted: -1})
+	s := New(Config{Workers: 2, FlightOff: true})
 	t.Cleanup(func() { s.Drain(5 * time.Second) })
 	h := s.Handler()
 	rec := submitWait(t, h, Request{Netlist: bufNetlist, Inputs: map[string]string{"i": "0 r@1"}, Horizon: 10})
