@@ -66,12 +66,6 @@ type goldenWatch struct {
 	MinPulse float64 `json:"min_pulse"`
 }
 
-// serverOnly reports whether the case can go over the wire: requests
-// without in-process extras.
-func (gc *goldenCase) serverOnly() bool {
-	return gc.Fault == nil && gc.Watch == nil && gc.MaxDeltas == 0
-}
-
 // TestGoldenCorpus pins simulator output: every case's result payload —
 // outputs plus every RunStats field — must hash to its pin on each rung
 // that can run it: direct sim.Run, server.RunOne, and the HTTP handler.
@@ -107,7 +101,8 @@ func TestGoldenCorpus(t *testing.T) {
 			}
 			got := goldenDirect(t, &gc)
 			var hash string
-			if gc.serverOnly() {
+			if gc.Fault == nil && gc.Watch == nil && gc.MaxDeltas == 0 {
+				// No in-process extras: the case can go over the wire.
 				rec, err := direct.RunOne(context.Background(), gc.Request)
 				if err != nil {
 					t.Fatal(err)

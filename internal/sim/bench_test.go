@@ -9,10 +9,12 @@ import (
 
 // BenchmarkDeepPendingRetirement drives a single long-latency channel with
 // a fast pulse train so that hundreds of output events are in flight on one
-// edge at steady state. Retiring a fired event used to splice it out of
-// edgeState.pending with an O(n) tail copy per delivery — quadratic on this
-// workload; the FIFO front-pop makes it O(1). This benchmark is the
-// regression guard for that fix.
+// edge at steady state. Retiring a fired output must stay O(1) amortized
+// on both sides of the channel: the edge's pending list of slab slots
+// advances a head index on delivery and compacts only when an append would
+// regrow it, and the channel's single-history instance retires its pending
+// output times the same way. A splice or copy per delivery would make this
+// workload quadratic; this benchmark is the regression guard.
 func BenchmarkDeepPendingRetirement(b *testing.B) {
 	pure, err := channel.NewPure(500)
 	if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,6 +15,52 @@ import (
 	"involution/internal/gate"
 	"involution/internal/signal"
 )
+
+// randomModel draws a channel model: pure, inertial, DDM, or an exp
+// involution channel, either with η ≡ 0 or with a small η band under a
+// seeded uniform adversary.
+func randomModel(t *testing.T, r *rand.Rand) channel.Model {
+	t.Helper()
+	var m channel.Model
+	var err error
+	switch r.Intn(4) {
+	case 0:
+		m, err = channel.NewPure(0.2 + r.Float64())
+	case 1:
+		d := 0.5 + r.Float64()
+		m, err = channel.NewInertial(d, d*(0.3+0.7*r.Float64()))
+	case 2:
+		b := channel.DDMBranch{TP0: 0.3 + r.Float64(), Tau: 0.2 + r.Float64(), T0: 0.2 * r.Float64()}
+		m, err = channel.NewDDM(b, b)
+	default:
+		pair, perr := delay.Exp(delay.ExpParams{Tau: 0.3 + r.Float64(), TP: 0.2 + 0.5*r.Float64(), Vth: 0.3 + 0.4*r.Float64()})
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		var eta adversary.Eta
+		var strat func() adversary.Strategy
+		if r.Intn(2) == 0 {
+			eta = adversary.Eta{Plus: 0.05 * r.Float64(), Minus: 0.05 * r.Float64()}
+			spec := adversary.Spec{Name: "uniform", Seed: r.Int63()}
+			strat = func() adversary.Strategy {
+				st, err := adversary.New(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+		}
+		ch, cerr := core.New(pair, eta)
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		m, err = channel.NewInvolution(ch, strat)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // randomDAG builds a random layered feed-forward circuit: a few input
 // ports, two gate layers with random Boolean functions, random channel
@@ -30,37 +77,6 @@ func randomDAG(t *testing.T, r *rand.Rand) (*circuit.Circuit, []string) {
 		}
 		prev = append(prev, name)
 	}
-	mkModel := func() channel.Model {
-		switch r.Intn(3) {
-		case 0:
-			m, err := channel.NewPure(0.2 + r.Float64())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		case 1:
-			d := 0.5 + r.Float64()
-			m, err := channel.NewInertial(d, d*(0.3+0.7*r.Float64()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		default:
-			pair, err := delay.Exp(delay.ExpParams{Tau: 0.3 + r.Float64(), TP: 0.2 + 0.5*r.Float64(), Vth: 0.3 + 0.4*r.Float64()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ch, err := core.New(pair, adversary.Eta{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := channel.NewInvolution(ch, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}
-	}
 	gates := []func(int) gate.Func{gate.And, gate.Or, gate.Nand, gate.Nor, gate.Xor, gate.Xnor}
 	var lastLayer []string
 	for layer := 0; layer < 2; layer++ {
@@ -75,7 +91,7 @@ func randomDAG(t *testing.T, r *rand.Rand) (*circuit.Circuit, []string) {
 			}
 			pick := r.Perm(len(prev))
 			for pin := 0; pin < arity; pin++ {
-				if err := c.Connect(prev[pick[pin%len(pick)]], name, pin, mkModel()); err != nil {
+				if err := c.Connect(prev[pick[pin%len(pick)]], name, pin, randomModel(t, r)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -159,4 +175,67 @@ func TestQuickRandomDAGSteadyStateAndDeterminism(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzSimRun runs small random circuits on random stimuli and checks what
+// every run must satisfy: each recorded signal is well formed (S1–S3:
+// finite non-negative, strictly increasing, alternating transitions, none
+// past the horizon), the stats add up, and a single-channel circuit
+// reproduces channel.Run of its model up to the horizon.
+func FuzzSimRun(f *testing.F) {
+	for _, seed := range []int64{0, 1, 2, 7, 42, 1 << 40} {
+		f.Add(seed, false)
+		f.Add(seed, true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, single bool) {
+		r := rand.New(rand.NewSource(seed))
+		horizon := 5 + 40*r.Float64()
+		if single {
+			m := randomModel(t, r)
+			times := make([]float64, r.Intn(12))
+			at := r.Float64()
+			for i := range times {
+				times[i] = at
+				at += 0.05 + 3*r.Float64()
+			}
+			in, err := signal.FromEdges(signal.Low, times...) // the BUF starts low
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := runChecked(t, singleChannelCircuit(t, m), map[string]signal.Signal{"i": in}, horizon)
+			want, err := channel.Run(m, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = want.Before(math.Nextafter(horizon, math.Inf(1)))
+			if got := res.Signals["o"]; !got.Equal(want, 0) {
+				t.Fatalf("model %v on %v: sim %v, channel.Run %v", m, in, got, want)
+			}
+			return
+		}
+		c, _ := randomDAG(t, r)
+		runChecked(t, c, randomStimuli(r, c), horizon)
+	})
+}
+
+// runChecked runs the circuit and checks the per-run invariants.
+func runChecked(t *testing.T, c *circuit.Circuit, in map[string]signal.Signal, horizon float64) *Result {
+	t.Helper()
+	res, err := Run(c, in, Options{Horizon: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.Delivered != int64(res.Events) || st.Scheduled < st.Delivered+st.Canceled {
+		t.Fatalf("stats do not add up: %d events, %+v", res.Events, st)
+	}
+	for name, sig := range res.Signals {
+		if _, err := signal.New(sig.Initial(), sig.Transitions()...); err != nil {
+			t.Fatalf("node %s: %v", name, err)
+		}
+		if n := sig.Len(); n > 0 && sig.Transition(n-1).At > horizon {
+			t.Fatalf("node %s: transition at %g past the horizon %g", name, sig.Transition(n-1).At, horizon)
+		}
+	}
+	return res
 }

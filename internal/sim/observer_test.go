@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -276,5 +277,45 @@ func TestObserversFanOut(t *testing.T) {
 	if len(a.delivered) == 0 || len(a.delivered) != len(b.delivered) || len(a.deltas) != len(b.deltas) {
 		t.Fatalf("fan-out mismatch: %d/%d delivered, %d/%d deltas",
 			len(a.delivered), len(b.delivered), len(a.deltas), len(b.deltas))
+	}
+}
+
+// sequence is a test Observer that logs every callback, in order, as one
+// line each.
+type sequence []string
+
+func (s *sequence) EventScheduled(e Event) { *s = append(*s, fmt.Sprintf("sched %+v", e)) }
+func (s *sequence) EventDelivered(e Event) { *s = append(*s, fmt.Sprintf("deliv %+v", e)) }
+func (s *sequence) EventCanceled(e Event)  { *s = append(*s, fmt.Sprintf("cancel %+v", e)) }
+func (s *sequence) DeltaCycleDone(t float64, n int) {
+	*s = append(*s, fmt.Sprintf("delta %g %d", t, n))
+}
+func (s *sequence) Annihilation(node string, t float64) {
+	*s = append(*s, fmt.Sprintf("annih %s %g", node, t))
+}
+
+// TestObserverSequenceIsDeterministic checks that repeated runs make the
+// same observer callbacks in the same order on a circuit where several
+// nodes change in each delta round.
+func TestObserverSequenceIsDeterministic(t *testing.T) {
+	c := fanout4(t)
+	in := signal.MustNew(signal.Low, signal.Transition{At: 1, To: signal.High},
+		signal.Transition{At: 1.5, To: signal.Low}, signal.Transition{At: 4, To: signal.High})
+	var first sequence
+	for run := 0; run < 50; run++ {
+		var seq sequence
+		if _, err := Run(c, map[string]signal.Signal{"i": in}, Options{Horizon: 20, Observer: &seq}); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = seq
+			continue
+		}
+		if got, want := strings.Join(seq, "\n"), strings.Join(first, "\n"); got != want {
+			t.Fatalf("run %d: callback sequence differs from run 0:\n%s\nwant:\n%s", run, got, want)
+		}
+	}
+	if len(first) < 30 {
+		t.Fatalf("only %d callbacks recorded", len(first))
 	}
 }

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -125,45 +124,146 @@ type Result struct {
 	Stats RunStats
 }
 
-// event is a scheduled transition delivery.
+// The event kernel. Input stimuli are never queued: each port keeps a
+// cursor into its (time-ordered) signal, and the run loop merges the ports'
+// next times with the queue's minimum. Channel outputs are value events in
+// a slab with a free list; a 4-ary min-heap of {at, seq, slot} orders them,
+// and cancellation is lazy: a canceled event stays in the heap, flagged,
+// until it is popped. Nodes and edges are addressed by int32 index, with
+// names resolved once in newSimulation, and every per-round work list is a
+// reused slice, so steady-state runs do not allocate per event.
+
+// event is one delivery: a channel output in the slab, or a stimulus
+// transition copied into the slab for the batch that delivers it.
 type event struct {
 	at       float64
-	seq      int64
 	to       signal.Value
-	edge     int // index into edges; -1 for input-port stimuli
-	node     string
-	pin      int
 	canceled bool
+	edge     int32 // index into edges; -1 for input-port stimuli
+	node     int32 // destination node
 }
 
-type eventQueue []*event
+// qitem orders one slab slot: by delivery time, then by scheduling order.
+type qitem struct {
+	at   float64
+	seq  int64
+	slot int32
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (a qitem) before(b qitem) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-func (q eventQueue) peek() *event  { return q[0] }
 
-var _ heap.Interface = (*eventQueue)(nil)
+// queue is a 4-ary min-heap of qitems: half the depth of a binary heap,
+// so a pop sifts down half as many levels.
+type queue []qitem
+
+func (q *queue) push(it qitem) {
+	h := append(*q, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !it.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = it
+	*q = h
+}
+
+func (q *queue) pop() qitem {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 4*i + 1
+			if c >= n {
+				break
+			}
+			m := c
+			for k := c + 1; k < c+4 && k < n; k++ {
+				if h[k].before(h[m]) {
+					m = k
+				}
+			}
+			if !h[m].before(last) {
+				break
+			}
+			h[i] = h[m]
+			i = m
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
+}
 
 type nodeState struct {
-	node   *circuit.Node
-	val    signal.Value
-	trs    []signal.Transition
-	pins   []signal.Value
-	fanout []int // indices into the simulation's edge list
+	node    *circuit.Node
+	val     signal.Value
+	trs     []signal.Transition
+	pins    []signal.Value
+	fanout  []int32 // indices into the simulation's edges
+	touched bool    // queued for evaluation in the current round
+	watch   Monitor // Options.Watch entry, if any
+	watched bool    // already checked by the current watch pass
 }
 
 type edgeState struct {
-	edge    circuit.Edge
-	inst    channel.Instance
-	pending []*event
+	from, to int32
+	pin      int
+	inst     channel.Instance
+	// pending holds the slots of the edge's scheduled, not yet delivered
+	// and not canceled outputs in scheduling order; pending[:head] are
+	// delivered entries awaiting compaction.
+	pending []int32
+	head    int
+}
+
+// retire drops a delivered slot from the pending list. Per-channel output
+// times are increasing and canceled events leave the list when canceled,
+// so the fired slot is almost always the front one.
+func (es *edgeState) retire(slot int32) {
+	if es.head < len(es.pending) && es.pending[es.head] == slot {
+		es.head++
+	} else {
+		// Exotic channel models (fault wrappers' extra transitions) can
+		// deliver out of scheduling order.
+		for i := es.head; i < len(es.pending); i++ {
+			if es.pending[i] == slot {
+				es.pending = append(es.pending[:i], es.pending[i+1:]...)
+				break
+			}
+		}
+	}
+	if es.head == len(es.pending) {
+		es.pending, es.head = es.pending[:0], 0
+	}
+}
+
+// add appends a scheduled slot, compacting delivered entries away instead
+// of regrowing the list.
+func (es *edgeState) add(slot int32) {
+	if len(es.pending) == cap(es.pending) && es.head > 0 {
+		es.pending, es.head = es.pending[:copy(es.pending, es.pending[es.head:])], 0
+	}
+	es.pending = append(es.pending, slot)
+}
+
+// stimulus is an input port's cursor into its signal.
+type stimulus struct {
+	node int32
+	sig  signal.Signal
+	next int // index of the next undelivered transition
 }
 
 // Run simulates the circuit with the given input-port signals up to the
@@ -200,16 +300,27 @@ func Run(c *circuit.Circuit, inputs map[string]signal.Signal, opts Options) (res
 }
 
 type simulation struct {
-	c     *circuit.Circuit
-	opts  Options
-	obs   Observer
-	nodes map[string]*nodeState
-	edges []*edgeState
-	queue eventQueue
-	seq   int64
+	opts   Options
+	obs    Observer
+	nodes  []nodeState
+	edges  []edgeState
+	cedges []circuit.Edge // the circuit's edges, for names and labels
+
+	slab     []event
+	free     []int32 // released slab slots
+	queue    queue
+	seq      int64
+	stims    []stimulus // input ports in circuit order
+	stimLeft int        // stimulus transitions not yet delivered
+
 	now   float64
 	count int
-	dirty []*nodeState // nodes recorded during the current delta cycle
+
+	// Reused work lists of the delta-cycle loop.
+	batch   []int32 // slots delivered at the current timestamp
+	touched []int32 // nodes to evaluate in the current round
+	changed []int32 // nodes whose value changed in the current round
+	dirty   []int32 // watched nodes recorded in the current delta cycle
 
 	stats       RunStats
 	start       time.Time
@@ -218,12 +329,35 @@ type simulation struct {
 }
 
 func newSimulation(c *circuit.Circuit, inputs map[string]signal.Signal, opts Options) (*simulation, error) {
-	s := &simulation{c: c, opts: opts, obs: opts.Observer, nodes: make(map[string]*nodeState), start: time.Now()}
+	s := &simulation{opts: opts, obs: opts.Observer, start: time.Now()}
+	nodes := c.Nodes()
+	s.cedges = c.Edges()
+	s.nodes = make([]nodeState, len(nodes))
+	s.edges = make([]edgeState, len(s.cedges))
+	s.edgeCancels = make([]int64, len(s.cedges))
+	index := make(map[string]int32, len(nodes))
+	npins := 0
+	for i, n := range nodes {
+		index[n.Name] = int32(i)
+		switch n.Kind {
+		case circuit.KindGate:
+			npins += n.Fn.Arity
+		case circuit.KindOutput:
+			npins++
+		}
+	}
+	// Pins and the work lists are carved from one backing array each.
+	pins := make([]signal.Value, npins)
+	nn := len(nodes)
+	work := make([]int32, 3*nn+len(s.cedges))
+	s.touched, s.changed, s.dirty, s.batch = work[:0:nn], work[nn:nn:2*nn], work[2*nn:2*nn:3*nn], work[3*nn:3*nn]
 
 	// Per-node state with initial values: input ports take the stimulus
 	// initial value, gates their declared initial output.
-	for _, n := range c.Nodes() {
-		ns := &nodeState{node: n}
+	nports := 0
+	for i, n := range nodes {
+		ns := &s.nodes[i]
+		ns.node = n
 		switch n.Kind {
 		case circuit.KindInput:
 			in, ok := inputs[n.Name]
@@ -231,97 +365,133 @@ func newSimulation(c *circuit.Circuit, inputs map[string]signal.Signal, opts Opt
 				return nil, fmt.Errorf("sim: no stimulus for input port %q", n.Name)
 			}
 			ns.val = in.Initial()
+			nports++
 		case circuit.KindGate:
 			ns.val = n.Initial
-			ns.pins = make([]signal.Value, n.Fn.Arity)
+			ns.pins, pins = pins[:n.Fn.Arity:n.Fn.Arity], pins[n.Fn.Arity:]
 		case circuit.KindOutput:
-			ns.pins = make([]signal.Value, 1)
+			ns.pins, pins = pins[:1:1], pins[1:]
 		}
-		s.nodes[n.Name] = ns
 	}
 	for name := range inputs {
-		if _, ok := s.nodes[name]; !ok {
+		i, ok := index[name]
+		if !ok {
 			return nil, fmt.Errorf("sim: stimulus for unknown input port %q", name)
 		}
-		if s.nodes[name].node.Kind != circuit.KindInput {
+		if nodes[i].Kind != circuit.KindInput {
 			return nil, fmt.Errorf("sim: stimulus target %q is not an input port", name)
 		}
 	}
-	for name := range opts.Watch {
-		if _, ok := s.nodes[name]; !ok {
+	for name, mon := range opts.Watch {
+		i, ok := index[name]
+		if !ok {
 			return nil, fmt.Errorf("sim: watch on unknown node %q", name)
 		}
+		s.nodes[i].watch = mon
 	}
 
-	// Pin initial values: channels copy the initial value of their source.
-	for _, e := range c.Edges() {
-		s.nodes[e.To].pins[e.Pin] = s.nodes[e.From].val
+	// Edges: endpoints by index, channel instances and pin initial values
+	// (channels copy the initial value of their source).
+	bounds := make([]int, nn+1) // fanout list bounds, by source node
+	for i, ce := range s.cedges {
+		es := &s.edges[i]
+		es.from, es.to, es.pin = index[ce.From], index[ce.To], ce.Pin
+		if ce.Model != nil {
+			es.inst = ce.Model.NewInstance()
+		}
+		s.nodes[es.to].pins[es.pin] = s.nodes[es.from].val
+		bounds[es.from+1]++
+	}
+	// Fanout lists share one backing array, grouped by source node in
+	// edge order.
+	fanout := make([]int32, len(s.cedges))
+	for i := range s.nodes {
+		bounds[i+1] += bounds[i]
+		s.nodes[i].fanout = fanout[bounds[i]:bounds[i]:bounds[i+1]]
+	}
+	for i := range s.edges {
+		ns := &s.nodes[s.edges[i].from]
+		ns.fanout = append(ns.fanout, int32(i))
 	}
 	// Output port initial values follow their driver.
-	for _, n := range c.Nodes() {
-		if n.Kind == circuit.KindOutput {
-			s.nodes[n.Name].val = s.nodes[n.Name].pins[0]
+	for i := range s.nodes {
+		if ns := &s.nodes[i]; ns.node.Kind == circuit.KindOutput {
+			ns.val = ns.pins[0]
 		}
 	}
 
-	// Edge channel instances and per-node fanout indices.
-	for i, e := range c.Edges() {
-		es := &edgeState{edge: e}
-		if e.Model != nil {
-			es.inst = e.Model.NewInstance()
+	// Count the input stimuli in as scheduled: they are validated here and
+	// delivered by cursor.
+	s.stims = make([]stimulus, 0, nports)
+	for i, n := range nodes {
+		if n.Kind != circuit.KindInput {
+			continue
 		}
-		s.edges = append(s.edges, es)
-		src := s.nodes[e.From]
-		src.fanout = append(src.fanout, i)
-	}
-
-	s.edgeCancels = make([]int64, len(s.edges))
-
-	// Schedule the input stimuli.
-	for _, name := range c.Inputs() {
-		in := inputs[name]
-		for i := 0; i < in.Len(); i++ {
-			tr := in.Transition(i)
-			if err := s.push(&event{at: tr.At, to: tr.To, edge: -1, node: name}); err != nil {
-				return nil, s.abort(err)
+		in := inputs[n.Name]
+		for k := 0; k < in.Len(); k++ {
+			tr := in.Transition(k)
+			if s.badTime(tr.At) {
+				return nil, s.abort(&EventTimeError{At: tr.At, Now: s.now, Node: n.Name})
 			}
+			s.stats.Scheduled++
+			s.stimLeft++
+			s.stats.QueueHighWater = s.stimLeft
 			if s.obs != nil {
-				s.obs.EventScheduled(Event{Now: 0, At: tr.At, To: tr.To, Node: name})
+				s.obs.EventScheduled(Event{Now: 0, At: tr.At, To: tr.To, Node: n.Name})
 			}
 		}
+		s.stims = append(s.stims, stimulus{node: int32(i), sig: in})
 	}
 	return s, nil
 }
 
-func (s *simulation) push(e *event) error {
-	// Reject non-finite and time-traveling delivery times before they can
-	// corrupt the heap order (a NaN compares false against everything, so
-	// it would silently break the queue invariant).
-	if !s.opts.noTimeCheck && (math.IsNaN(e.at) || math.IsInf(e.at, 0) || e.at < s.now) {
-		te := &EventTimeError{At: e.at, Now: s.now, Node: e.node}
-		if e.edge >= 0 {
-			te.Channel = s.edgeLabel(e.edge)
-		}
-		return te
+// badTime rejects non-finite and time-traveling delivery times before they
+// can corrupt the heap order (a NaN compares false against everything, so
+// it would silently break the queue invariant).
+func (s *simulation) badTime(at float64) bool {
+	return !s.opts.noTimeCheck && (math.IsNaN(at) || math.IsInf(at, 0) || at < s.now)
+}
+
+// schedule enqueues a channel output of edge i.
+func (s *simulation) schedule(i int32, at float64, to signal.Value) error {
+	es := &s.edges[i]
+	if s.badTime(at) {
+		return &EventTimeError{At: at, Now: s.now, Node: s.nodes[es.to].node.Name, Channel: s.edgeLabel(i)}
 	}
-	e.seq = s.seq
+	slot := s.alloc(event{at: at, to: to, edge: i, node: es.to})
+	s.queue.push(qitem{at: at, seq: s.seq, slot: slot})
 	s.seq++
-	heap.Push(&s.queue, e)
 	s.stats.Scheduled++
-	if n := len(s.queue); n > s.stats.QueueHighWater {
+	// Stimuli not yet delivered count as queued.
+	if n := len(s.queue) + s.stimLeft; n > s.stats.QueueHighWater {
 		s.stats.QueueHighWater = n
+	}
+	es.add(slot)
+	if s.obs != nil {
+		s.obs.EventScheduled(Event{Now: s.now, At: at, To: to, Node: s.nodes[es.to].node.Name, Channel: s.edgeLabel(i)})
 	}
 	return nil
 }
 
+func (s *simulation) alloc(e event) int32 {
+	if n := len(s.free); n > 0 {
+		slot := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slab[slot] = e
+		return slot
+	}
+	s.slab = append(s.slab, e)
+	return int32(len(s.slab) - 1)
+}
+
 // edgeLabel returns the "from→to/pin" channel label for edge i, cached
 // after first use.
-func (s *simulation) edgeLabel(i int) string {
+func (s *simulation) edgeLabel(i int32) string {
 	if s.edgeLabels == nil {
 		s.edgeLabels = make([]string, len(s.edges))
 	}
 	if s.edgeLabels[i] == "" {
-		e := s.edges[i].edge
+		e := s.cedges[i]
 		s.edgeLabels[i] = fmt.Sprintf("%s→%s/%d", e.From, e.To, e.Pin)
 	}
 	return s.edgeLabels[i]
@@ -338,7 +508,7 @@ func (s *simulation) finalizeStats() {
 		if s.stats.CancelsByChannel == nil {
 			s.stats.CancelsByChannel = make(map[string]int64)
 		}
-		s.stats.CancelsByChannel[s.edgeLabel(i)] += n
+		s.stats.CancelsByChannel[s.edgeLabel(int32(i))] += n
 	}
 }
 
@@ -348,39 +518,71 @@ func (s *simulation) abort(err error) error {
 	return &AbortError{Stats: s.stats, Err: err}
 }
 
+// nextTime returns the earliest pending delivery time: the queue's minimum
+// merged with every port's next stimulus.
+func (s *simulation) nextTime() (float64, bool) {
+	t, ok := 0.0, len(s.queue) > 0
+	if ok {
+		t = s.queue[0].at
+	}
+	for i := range s.stims {
+		st := &s.stims[i]
+		if st.next < st.sig.Len() {
+			if at := st.sig.Transition(st.next).At; !ok || at < t {
+				t, ok = at, true
+			}
+		}
+	}
+	return t, ok
+}
+
 func (s *simulation) run() (*Result, error) {
 	// Time-0 evaluation: gate outputs switch from their declared initial
 	// value to the Boolean function of their (initial) inputs.
-	if err := s.deltaCycle(0, nil); err != nil {
+	if err := s.deltaCycle(0, true); err != nil {
 		return nil, s.abort(err)
 	}
 	if err := s.runWatches(0); err != nil {
 		return nil, s.abort(err)
 	}
 
-	for len(s.queue) > 0 {
-		t := s.queue.peek().at
-		if t > s.opts.Horizon {
+	for {
+		t, ok := s.nextTime()
+		if !ok || t > s.opts.Horizon {
 			break
 		}
-		// Collect every event at exactly this timestamp.
-		var batch []*event
-		for len(s.queue) > 0 && s.queue.peek().at == t {
-			e := heap.Pop(&s.queue).(*event)
-			if e.canceled {
+		// Collect every event at exactly this timestamp: stimuli first, in
+		// port order (they were scheduled before any channel output), then
+		// channel outputs in scheduling order.
+		s.batch = s.batch[:0]
+		for i := range s.stims {
+			st := &s.stims[i]
+			if st.next < st.sig.Len() {
+				if tr := st.sig.Transition(st.next); tr.At == t {
+					st.next++
+					s.stimLeft--
+					s.batch = append(s.batch, s.alloc(event{at: t, to: tr.To, edge: -1, node: st.node}))
+				}
+			}
+		}
+		for len(s.queue) > 0 && s.queue[0].at == t {
+			it := s.queue.pop()
+			if s.slab[it.slot].canceled {
+				s.free = append(s.free, it.slot)
 				continue
 			}
-			batch = append(batch, e)
+			s.batch = append(s.batch, it.slot)
 		}
-		if len(batch) == 0 {
+		if len(s.batch) == 0 {
 			continue
 		}
 		s.now = t
-		s.count += len(batch)
-		s.stats.Delivered += int64(len(batch))
+		s.count += len(s.batch)
+		s.stats.Delivered += int64(len(s.batch))
 		if s.obs != nil {
-			for _, e := range batch {
-				ev := Event{Now: t, At: e.at, To: e.to, Node: e.node}
+			for _, slot := range s.batch {
+				e := &s.slab[slot]
+				ev := Event{Now: t, At: e.at, To: e.to, Node: s.nodes[e.node].node.Name}
 				if e.edge >= 0 {
 					ev.Channel = s.edgeLabel(e.edge)
 				}
@@ -398,7 +600,7 @@ func (s *simulation) run() (*Result, error) {
 				return nil, s.abort(fmt.Errorf("%w at t=%g after %d events: %v", ErrCanceled, t, s.count, cerr))
 			}
 		}
-		if err := s.deltaCycle(t, batch); err != nil {
+		if err := s.deltaCycle(t, false); err != nil {
 			return nil, s.abort(err)
 		}
 		if err := s.runWatches(t); err != nil {
@@ -408,7 +610,8 @@ func (s *simulation) run() (*Result, error) {
 
 	s.finalizeStats()
 	res := &Result{Signals: make(map[string]signal.Signal, len(s.nodes)), Events: s.count, Horizon: s.opts.Horizon, Stats: s.stats}
-	for name, ns := range s.nodes {
+	for i := range s.nodes {
+		ns := &s.nodes[i]
 		var initial signal.Value
 		switch ns.node.Kind {
 		case circuit.KindGate:
@@ -423,18 +626,19 @@ func (s *simulation) run() (*Result, error) {
 		}
 		sig, err := signal.New(initial, ns.trs...)
 		if err != nil {
-			return nil, &AbortError{Stats: s.stats, Err: fmt.Errorf("sim: node %q recorded invalid signal: %w", name, err)}
+			return nil, &AbortError{Stats: s.stats, Err: fmt.Errorf("sim: node %q recorded invalid signal: %w", ns.node.Name, err)}
 		}
-		res.Signals[name] = sig
+		res.Signals[ns.node.Name] = sig
 	}
 	return res, nil
 }
 
-// deltaCycle applies a batch of simultaneous events at time t and iterates
+// deltaCycle applies the batch of simultaneous events at time t (or, for
+// the initial evaluation, touches every gate and output port) and iterates
 // zero-delay propagation until the circuit is stable at this timestamp,
 // recording the round count in the stats histogram.
-func (s *simulation) deltaCycle(t float64, batch []*event) error {
-	rounds, err := s.deltaRun(t, batch)
+func (s *simulation) deltaCycle(t float64, initial bool) error {
+	rounds, err := s.deltaRun(t, initial)
 	if err != nil {
 		return err
 	}
@@ -445,62 +649,54 @@ func (s *simulation) deltaCycle(t float64, batch []*event) error {
 	return nil
 }
 
-// deltaRun is the delta-cycle body; it returns the number of evaluation
-// rounds the timestamp needed to stabilize.
-func (s *simulation) deltaRun(t float64, batch []*event) (int, error) {
-	touched := make(map[string]bool) // gates/outputs whose pins changed
-	// changed input-port nodes propagate like gate outputs
-	var changed []string
+// touch queues node i for evaluation in the current round.
+func (s *simulation) touch(i int32) {
+	if ns := &s.nodes[i]; !ns.touched {
+		ns.touched = true
+		s.touched = append(s.touched, i)
+	}
+}
 
-	for _, e := range batch {
-		if e.edge == -1 {
-			ns := s.nodes[e.node]
-			if ns.val != e.to {
+// deltaRun is the delta-cycle body; it returns the number of evaluation
+// rounds the timestamp needed to stabilize. Nodes are evaluated in the
+// order they were first touched and changes propagate in evaluation order,
+// so every run of the same inputs makes the same calls in the same order.
+func (s *simulation) deltaRun(t float64, initial bool) (int, error) {
+	s.touched, s.changed = s.touched[:0], s.changed[:0]
+	if initial {
+		for i := range s.nodes {
+			if s.nodes[i].node.Kind != circuit.KindInput {
+				s.touch(int32(i))
+			}
+		}
+	}
+	for _, slot := range s.batch {
+		e := s.slab[slot]
+		s.free = append(s.free, slot)
+		if e.edge < 0 {
+			// Changed input ports propagate like gate outputs.
+			if ns := &s.nodes[e.node]; ns.val != e.to {
 				ns.val = e.to
-				s.record(ns, t, e.to)
-				changed = append(changed, e.node)
+				s.record(e.node, t, e.to)
+				s.changed = append(s.changed, e.node)
 			}
 			continue
 		}
-		es := s.edges[e.edge]
-		// Retire this event from the edge's pending list: per-channel
-		// output times are strictly increasing and canceled events leave
-		// the list when canceled, so the fired event sits at the front —
-		// an O(1) pop instead of a linear scan.
-		if len(es.pending) > 0 && es.pending[0] == e {
-			es.pending[0] = nil
-			es.pending = es.pending[1:]
-		} else {
-			// Defensive fallback for exotic channel models that interleave
-			// same-time outputs.
-			for i, pe := range es.pending {
-				if pe == e {
-					es.pending = append(es.pending[:i], es.pending[i+1:]...)
-					break
-				}
-			}
-		}
-		dst := s.nodes[e.node]
-		dst.pins[e.pin] = e.to
-		touched[e.node] = true
+		es := &s.edges[e.edge]
+		es.retire(slot)
+		s.nodes[e.node].pins[es.pin] = e.to
+		s.touch(e.node)
 	}
-
-	if batch == nil {
-		// Initial evaluation touches every gate and output port.
-		for _, n := range s.c.Nodes() {
-			if n.Kind != circuit.KindInput {
-				touched[n.Name] = true
-			}
-		}
-	}
+	s.batch = s.batch[:0]
 
 	for round := 0; ; round++ {
 		if round > s.opts.MaxDeltas {
 			return round, fmt.Errorf("%w at t=%g", errOscillation, t)
 		}
 		// Evaluate touched gates and output ports.
-		for name := range touched {
-			ns := s.nodes[name]
+		for _, i := range s.touched {
+			ns := &s.nodes[i]
+			ns.touched = false
 			var newV signal.Value
 			switch ns.node.Kind {
 			case circuit.KindGate:
@@ -510,84 +706,88 @@ func (s *simulation) deltaRun(t float64, batch []*event) (int, error) {
 			}
 			if newV != ns.val {
 				ns.val = newV
-				s.record(ns, t, newV)
-				changed = append(changed, name)
+				s.record(i, t, newV)
+				s.changed = append(s.changed, i)
 			}
 		}
-		touched = make(map[string]bool)
-		if len(changed) == 0 {
+		s.touched = s.touched[:0]
+		if len(s.changed) == 0 {
 			return round + 1, nil
 		}
 		// Propagate changes through outgoing edges.
-		next := changed
-		changed = nil
-		for _, name := range next {
-			ns := s.nodes[name]
+		for _, i := range s.changed {
+			ns := &s.nodes[i]
 			for _, idx := range ns.fanout {
-				es := s.edges[idx]
-				edge := es.edge
+				es := &s.edges[idx]
 				if es.inst == nil {
 					// Zero-delay edge: deliver within this timestamp.
-					dst := s.nodes[edge.To]
-					dst.pins[edge.Pin] = ns.val
-					touched[edge.To] = true
+					s.nodes[es.to].pins[es.pin] = ns.val
+					s.touch(es.to)
 					continue
 				}
 				act := es.inst.Input(t, ns.val)
 				if act.Cancel {
-					n := len(es.pending)
-					if n == 0 {
-						return round + 1, fmt.Errorf("sim: channel %s→%s canceled with no pending output at t=%g", edge.From, edge.To, t)
-					}
-					last := es.pending[n-1]
-					if last.at <= t {
-						return round + 1, fmt.Errorf("sim: channel %s→%s canceled an already-fired output at t=%g", edge.From, edge.To, t)
-					}
-					last.canceled = true
-					es.pending = es.pending[:n-1]
-					s.stats.Canceled++
-					s.edgeCancels[idx]++
-					if s.obs != nil {
-						s.obs.EventCanceled(Event{Now: t, At: last.at, To: last.to, Node: edge.To, Channel: s.edgeLabel(idx)})
-					}
-				}
-				if act.Schedule {
-					// No defensive clamp here: well-behaved instances clamp
-					// past-due outputs themselves (the documented online
-					// divergence), so a past/non-finite time is a bug in the
-					// producing model and push rejects it as ErrBadEventTime.
-					at := act.At
-					ev := &event{at: at, to: act.To, edge: idx, node: edge.To, pin: edge.Pin}
-					if err := s.push(ev); err != nil {
+					if err := s.cancelLast(idx, t); err != nil {
 						return round + 1, err
 					}
-					es.pending = append(es.pending, ev)
-					if s.obs != nil {
-						s.obs.EventScheduled(Event{Now: t, At: at, To: act.To, Node: edge.To, Channel: s.edgeLabel(idx)})
+				}
+				// No defensive clamp on scheduled times: well-behaved
+				// instances clamp past-due outputs themselves (the
+				// documented online divergence), so a past/non-finite time
+				// is a bug in the producing model and schedule rejects it
+				// as ErrBadEventTime.
+				if act.Schedule {
+					if err := s.schedule(idx, act.At, act.To); err != nil {
+						return round + 1, err
 					}
 				}
 				for _, ex := range act.Extra {
-					ev := &event{at: ex.At, to: ex.To, edge: idx, node: edge.To, pin: edge.Pin}
-					if err := s.push(ev); err != nil {
+					if err := s.schedule(idx, ex.At, ex.To); err != nil {
 						return round + 1, err
-					}
-					es.pending = append(es.pending, ev)
-					if s.obs != nil {
-						s.obs.EventScheduled(Event{Now: t, At: ex.At, To: ex.To, Node: edge.To, Channel: s.edgeLabel(idx)})
 					}
 				}
 			}
 		}
-		if len(touched) == 0 {
+		s.changed = s.changed[:0]
+		if len(s.touched) == 0 {
 			return round + 1, nil
 		}
 	}
 }
 
-// record appends a transition, annihilating a same-time opposite pair, and
-// marks the node for the post-delta watch pass.
-func (s *simulation) record(ns *nodeState, t float64, v signal.Value) {
-	s.dirty = append(s.dirty, ns)
+// cancelLast cancels edge i's youngest pending output at time t: it is
+// flagged in place and skipped when the queue pops it.
+func (s *simulation) cancelLast(i int32, t float64) error {
+	es := &s.edges[i]
+	e := s.cedges[i]
+	n := len(es.pending)
+	if n == es.head {
+		return fmt.Errorf("sim: channel %s→%s canceled with no pending output at t=%g", e.From, e.To, t)
+	}
+	last := &s.slab[es.pending[n-1]]
+	if last.at <= t {
+		return fmt.Errorf("sim: channel %s→%s canceled an already-fired output at t=%g", e.From, e.To, t)
+	}
+	last.canceled = true
+	es.pending = es.pending[:n-1]
+	if es.head == len(es.pending) {
+		es.pending, es.head = es.pending[:0], 0
+	}
+	s.stats.Canceled++
+	s.edgeCancels[i]++
+	if s.obs != nil {
+		s.obs.EventCanceled(Event{Now: t, At: last.at, To: last.to, Node: e.To, Channel: s.edgeLabel(i)})
+	}
+	return nil
+}
+
+// record appends a transition to node i, annihilating a same-time opposite
+// pair, and marks watched nodes for the post-delta watch pass.
+func (s *simulation) record(i int32, t float64, v signal.Value) {
+	ns := &s.nodes[i]
+	if ns.watch != nil {
+		s.dirty = append(s.dirty, i)
+	}
 	if n := len(ns.trs); n > 0 && ns.trs[n-1].At == t && ns.trs[n-1].To == v.Not() {
 		ns.trs = ns.trs[:n-1]
 		s.stats.Annihilated++
@@ -599,29 +799,24 @@ func (s *simulation) record(ns *nodeState, t float64, v signal.Value) {
 	ns.trs = append(ns.trs, signal.Transition{At: t, To: v})
 }
 
-// runWatches invokes monitors for nodes whose recorded signal gained a
-// transition at time t during the just-finished delta cycle (annihilated
-// zero-width artifacts are not reported).
+// runWatches invokes monitors, in recording order, for watched nodes whose
+// recorded signal gained a transition at time t during the just-finished
+// delta cycle (annihilated zero-width artifacts are not reported).
 func (s *simulation) runWatches(t float64) error {
-	if len(s.opts.Watch) == 0 {
-		s.dirty = s.dirty[:0]
-		return nil
-	}
-	seen := map[*nodeState]bool{}
-	for _, ns := range s.dirty {
-		if seen[ns] {
+	for _, i := range s.dirty {
+		ns := &s.nodes[i]
+		if ns.watched {
 			continue
 		}
-		seen[ns] = true
-		mon, ok := s.opts.Watch[ns.node.Name]
-		if !ok {
-			continue
-		}
+		ns.watched = true
 		if n := len(ns.trs); n > 0 && ns.trs[n-1].At == t {
-			if err := mon(t, ns.trs[n-1].To); err != nil {
+			if err := ns.watch(t, ns.trs[n-1].To); err != nil {
 				return &WatchError{Node: ns.node.Name, At: t, Err: err}
 			}
 		}
+	}
+	for _, i := range s.dirty {
+		s.nodes[i].watched = false
 	}
 	s.dirty = s.dirty[:0]
 	return nil

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -335,5 +336,50 @@ func TestValidateFailurePropagates(t *testing.T) {
 	// o undriven.
 	if _, err := Run(c, map[string]signal.Signal{"i": signal.Zero()}, Options{Horizon: 1}); err == nil {
 		t.Fatal("invalid circuit must fail")
+	}
+}
+
+// fanout4 drives four BUF gates a–d from one port through pure d=1
+// channels; an XOR4 joins them again through pure d=2 channels and every
+// gate has an output port, so each timestamp changes several nodes in one
+// delta round.
+func fanout4(t *testing.T) *circuit.Circuit {
+	t.Helper()
+	c := circuit.New("fanout4")
+	steps := []error{c.AddInput("i"), c.AddGate("x", gate.Xor(4), signal.Low), c.AddOutput("ox")}
+	for pin, g := range []string{"a", "b", "c", "d"} {
+		steps = append(steps,
+			c.AddGate(g, gate.Buf(), signal.Low), c.AddOutput("o"+g),
+			c.Connect("i", g, 0, pure(t, 1)), c.Connect(g, "o"+g, 0, nil),
+			c.Connect(g, "x", pin, pure(t, 2)))
+	}
+	steps = append(steps, c.Connect("x", "ox", 0, nil))
+	for _, err := range steps {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// TestWatchReportIsDeterministic watches four gates that violate their
+// monitors at the same timestamp: the reported node must be the same on
+// every run — the first recorded, which follows the scheduling order.
+func TestWatchReportIsDeterministic(t *testing.T) {
+	c := fanout4(t)
+	in := signal.MustPulse(1, 1)
+	for run := 0; run < 200; run++ {
+		watch := map[string]Monitor{}
+		for _, g := range []string{"a", "b", "c", "d"} {
+			watch[g] = MinPulseMonitor(5)
+		}
+		_, err := Run(c, map[string]signal.Signal{"i": in}, Options{Horizon: 20, Watch: watch})
+		var we *WatchError
+		if !errors.As(err, &we) {
+			t.Fatalf("run %d: want a WatchError, got %v", run, err)
+		}
+		if we.Node != "a" || we.At != 3 {
+			t.Fatalf("run %d: watch reported %q at t=%g, want \"a\" at t=3", run, we.Node, we.At)
+		}
 	}
 }
