@@ -106,7 +106,9 @@ type RunStats struct {
 	// Annihilated counts zero-width pulses dropped from recorded signals
 	// (pairs of same-time opposite transitions; each pair counts once).
 	Annihilated int64 `json:"annihilated"`
-	// QueueHighWater is the maximum length the event queue reached.
+	// QueueHighWater is the maximum number of events pending delivery at
+	// once: queued channel outputs (canceled ones until the queue pops
+	// them) plus input stimuli not yet delivered.
 	QueueHighWater int `json:"queue_high_water"`
 	// DeltaCycles is the number of distinct timestamps processed
 	// (including the time-0 initial evaluation).
