@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"involution/internal/channel"
 	"involution/internal/gate"
@@ -65,6 +66,9 @@ type Circuit struct {
 	nodes map[string]*Node
 	order []string // insertion order, for deterministic iteration
 	edges []Edge
+	// valid records a successful Validate; every structural change clears
+	// it. Atomic because concurrent runs share one built circuit.
+	valid atomic.Bool
 }
 
 // New creates an empty circuit.
@@ -84,6 +88,7 @@ func (c *Circuit) addNode(n *Node) error {
 	}
 	c.nodes[n.Name] = n
 	c.order = append(c.order, n.Name)
+	c.valid.Store(false)
 	return nil
 }
 
@@ -140,6 +145,7 @@ func (c *Circuit) Connect(from, to string, pin int, model channel.Model) error {
 		}
 	}
 	c.edges = append(c.edges, Edge{From: from, To: to, Pin: pin, Model: model})
+	c.valid.Store(false)
 	return nil
 }
 
@@ -183,8 +189,14 @@ func (c *Circuit) byKind(k Kind) []string {
 
 // Validate checks structural well-formedness: every gate pin and every
 // output port driven exactly once, and no cycle consisting solely of
-// zero-delay edges.
+// zero-delay edges. A success is remembered until the next AddInput,
+// AddOutput, AddGate or Connect, so validating a shared circuit on every
+// run costs one atomic load; a Node changed in place through Node or
+// Nodes is not noticed.
 func (c *Circuit) Validate() error {
+	if c.valid.Load() {
+		return nil
+	}
 	driven := make(map[string]map[int]bool)
 	for _, e := range c.edges {
 		if driven[e.To] == nil {
@@ -210,6 +222,7 @@ func (c *Circuit) Validate() error {
 	if cyc := c.zeroDelayCycle(); cyc != nil {
 		return fmt.Errorf("circuit: zero-delay cycle through %s", strings.Join(cyc, " → "))
 	}
+	c.valid.Store(true)
 	return nil
 }
 

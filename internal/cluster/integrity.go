@@ -32,6 +32,11 @@ func (e *IntegrityError) Temporary() bool { return true }
 // the status must be one the protocol defines, finished jobs must carry a
 // result with an integrity hash, and whenever a hash is present it must
 // match the canonical result bytes. Returns nil or an *IntegrityError.
+//
+// Nodes send the compact bytes they hashed, so the received bytes are
+// hashed first as they are: a match means they are the canonical bytes.
+// Only on a mismatch are they compacted and hashed again, so a result a
+// node re-indented still verifies.
 func verifyRecord(node string, rec *api.Record) error {
 	switch rec.Status {
 	case api.StatusQueued, api.StatusRunning, api.StatusCompleted, api.StatusAborted:
@@ -46,7 +51,7 @@ func verifyRecord(node string, rec *api.Record) error {
 			return &IntegrityError{Node: node, Reason: "completed record has no result hash"}
 		}
 	}
-	if rec.ResultHash != "" {
+	if rec.ResultHash != "" && api.ResultHashOfCompact(rec.Result) != rec.ResultHash {
 		got := api.ResultHashOf(rec.Result)
 		if got == "" {
 			return &IntegrityError{Node: node, Reason: "result payload is not valid JSON"}

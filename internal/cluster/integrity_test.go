@@ -73,8 +73,8 @@ func corruptingProxy(t *testing.T, addr string, n int64) (string, *atomic.Int64)
 		if ck := resp.Header.Get(api.ContentKeyHeader); ck != "" {
 			w.Header().Set(api.ContentKeyHeader, ck)
 		}
-		if corrupted.Load() < n && bytes.Contains(body, []byte(`"horizon": 10`)) {
-			body = bytes.Replace(body, []byte(`"horizon": 10`), []byte(`"horizon": 99`), 1)
+		if corrupted.Load() < n && bytes.Contains(body, []byte(`"horizon":10`)) {
+			body = bytes.Replace(body, []byte(`"horizon":10`), []byte(`"horizon":99`), 1)
 			corrupted.Add(1)
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -174,5 +174,29 @@ func TestVerifyRecordRules(t *testing.T) {
 	ab := api.Record{Status: api.StatusAborted, Result: raw}
 	if err := verifyRecord("n", &ab); err != nil {
 		t.Fatalf("aborted record without hash rejected: %v", err)
+	}
+}
+
+// TestVerifyRecordAcceptsIndentedResult: nodes send compact results, but a
+// node that pretty-prints them (as older ones did) must still verify, and
+// a corrupted result must fail whichever way it is spelled.
+func TestVerifyRecordAcceptsIndentedResult(t *testing.T) {
+	compact := json.RawMessage(`{"status":"completed","horizon":10,"outputs":{"o":"0 r@1 f@2"}}`)
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, compact, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	indented := json.RawMessage(buf.Bytes())
+	hash := api.ResultHashOf(compact)
+	for name, raw := range map[string]json.RawMessage{"compact": compact, "indented": indented} {
+		rec := api.Record{Status: api.StatusCompleted, Result: raw, ResultHash: hash}
+		if err := verifyRecord("n", &rec); err != nil {
+			t.Errorf("%s result rejected: %v", name, err)
+		}
+		bad := api.Record{Status: api.StatusCompleted, Result: bytes.Replace(raw, []byte("10"), []byte("99"), 1), ResultHash: hash}
+		var ie *IntegrityError
+		if err := verifyRecord("n", &bad); !errors.As(err, &ie) {
+			t.Errorf("corrupted %s result: err = %v, want *IntegrityError", name, err)
+		}
 	}
 }

@@ -161,8 +161,10 @@ type Record struct {
 	// bytes, stamped by the serving node when the result is produced.
 	// Clients recompute it on receipt; a mismatch means the payload was
 	// corrupted in flight or by a lying intermediary and the exchange must
-	// be retried. Whitespace-only re-encodings (the server pretty-prints)
-	// hash identically because both sides compact before hashing.
+	// be retried. Nodes send Result as the compact bytes they hashed, so
+	// the received bytes hash to ResultHash as they are; a whitespace-only
+	// re-encoding (a node that pretty-prints) still verifies once the
+	// client compacts it.
 	ResultHash string `json:"result_hash,omitempty"`
 }
 
@@ -178,7 +180,18 @@ func ResultHashOf(raw json.RawMessage) string {
 	if err := json.Compact(&buf, raw); err != nil {
 		return ""
 	}
-	sum := sha256.Sum256(buf.Bytes())
+	return ResultHashOfCompact(buf.Bytes())
+}
+
+// ResultHashOfCompact is ResultHashOf for bytes known to be compact JSON,
+// such as json.Marshal output: compacting them is the identity, so it
+// hashes them as they are. It does not check that raw is JSON. Empty
+// returns "".
+func ResultHashOfCompact(raw json.RawMessage) string {
+	if len(raw) == 0 {
+		return ""
+	}
+	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:])
 }
 

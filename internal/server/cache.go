@@ -85,10 +85,12 @@ func (c *lru[V]) size() int64 {
 }
 
 // cachedResult is one result-cache entry, keyed by the canonical request
-// hash. raw is the exact bytes served to the first client, so a cache hit
-// is byte-identical to the original result by construction; hash is
-// api.ResultHashOf(raw), computed once at insert so the hit path never
-// re-compacts or re-hashes the bytes. Its cost is len(raw).
+// hash. raw is the exact compact bytes served to the first client, so a
+// cache hit is byte-identical to the original result by construction;
+// hash is the SHA-256 of raw (api.ResultHashOfCompact, equal to
+// api.ResultHashOf on compact bytes), taken once when the result is
+// stored or promoted from the lake, so the hit path never hashes again.
+// Its cost is len(raw).
 type cachedResult struct {
 	raw  json.RawMessage
 	hash string

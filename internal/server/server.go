@@ -203,12 +203,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON writes v as one line of compact JSON. A record's result goes
+// out as the exact bytes its ResultHash was taken over.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
@@ -407,14 +407,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // the persistent lake. Lake hits are promoted to RAM so a hot key pays
 // the disk read (and its integrity verification) once; the returned
 // payload was hash-verified by the lake, so promotion cannot launder a
-// corrupt record into the RAM tier.
+// corrupt record into the RAM tier. The lake holds the compact bytes
+// store wrote, so their result hash needs no compaction.
 func (s *Server) cacheGet(hash string) (raw json.RawMessage, rhash, tier string, ok bool) {
 	if e, ok := s.cache.get(hash); ok {
 		return e.raw, e.hash, api.TierMem, true
 	}
 	if s.lk != nil {
 		if payload, ok := s.lk.Get(hash); ok {
-			rhash := api.ResultHashOf(payload)
+			rhash := api.ResultHashOfCompact(payload)
 			s.cache.put(hash, cachedResult{raw: payload, hash: rhash}, int64(len(payload)))
 			return payload, rhash, api.TierLake, true
 		}
@@ -767,7 +768,8 @@ func (s *Server) execute(ctx context.Context, c *compiled, observer sim.Observer
 }
 
 // store encodes a finished payload and hashes the bytes every client
-// receives, then feeds the cache tiers and outcome counters. Only
+// receives — json.Marshal output is compact, so they are hashed as they
+// are — then feeds the cache tiers and outcome counters. Only
 // completed results are cached: an abort may depend on wall-clock budgets
 // or cancellation, a completed result is a pure function of the canonical
 // request. An unencodable payload is replaced by a typed abort.
@@ -780,7 +782,7 @@ func (s *Server) store(c *compiled, p *ResultPayload) (json.RawMessage, string) 
 		}
 		raw, _ = json.Marshal(p)
 	}
-	rhash := api.ResultHashOf(raw)
+	rhash := api.ResultHashOfCompact(raw)
 	if p.Status != StatusCompleted {
 		s.met.aborted.Inc()
 		return raw, rhash

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -296,6 +298,33 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 	if hits := s.met.cacheHits.Value(); hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
+	}
+}
+
+// TestWireResultIsHashedBytes: a completed record's result goes out as the
+// exact bytes its ResultHash was taken over — plain SHA-256, no
+// compaction — on a fresh run and on a cache hit, and they are the bytes
+// RunOne makes for the same request on another server.
+func TestWireResultIsHashedBytes(t *testing.T) {
+	h := testServer(t).Handler()
+	req := Request{Circuit: "spf", Adversary: "uniform", Seed: 7, Horizon: 50}
+	local, err := testServer(t).RunOne(context.Background(), req)
+	if err != nil || local.Status != StatusCompleted {
+		t.Fatalf("RunOne: %v, status %s", err, local.Status)
+	}
+	for _, want := range []bool{false, true} {
+		w := doJSON(t, h, "POST", "/v1/jobs?wait=1", req)
+		rec := decodeRecord(t, w)
+		if rec.Status != StatusCompleted || rec.Cached != want {
+			t.Fatalf("status %s cached %v, want completed cached %v", rec.Status, rec.Cached, want)
+		}
+		sum := sha256.Sum256(rec.Result)
+		if got := hex.EncodeToString(sum[:]); got != rec.ResultHash {
+			t.Fatalf("cached=%v: SHA-256 of the result bytes is %s, record stamps %s", want, got, rec.ResultHash)
+		}
+		if !bytes.Equal(rec.Result, local.Result) || rec.ResultHash != local.ResultHash {
+			t.Fatalf("cached=%v: HTTP result\n%s\ndiffers from RunOne's\n%s", want, rec.Result, local.Result)
+		}
 	}
 }
 

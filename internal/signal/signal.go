@@ -21,6 +21,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Value is a binary signal value.
@@ -54,13 +56,25 @@ type Transition struct {
 // Rising reports whether t is a rising transition.
 func (t Transition) Rising() bool { return t.To == High }
 
-// String formats the transition as "r@t" or "f@t".
+// String formats the transition as "r@t" or "f@t", the time in the
+// shortest %g form that parses back to the same float64.
 func (t Transition) String() string {
-	k := "f"
+	return string(t.appendText(make([]byte, 0, maxTransitionText)))
+}
+
+// maxTransitionText bounds the length of a formatted transition: "r@"
+// plus the longest shortest-'g' float64 ("-2.2250738585072014e-308").
+const maxTransitionText = 2 + 24
+
+// appendText appends the String form of t to b. strconv's 'g' with
+// precision -1 is what fmt's %g does for a float64, so the bytes equal
+// fmt.Sprintf("%s@%g", …) (TestStringMatchesSprintf).
+func (t Transition) appendText(b []byte) []byte {
+	k := byte('f')
 	if t.Rising() {
-		k = "r"
+		k = 'r'
 	}
-	return fmt.Sprintf("%s@%g", k, t.At)
+	return strconv.AppendFloat(append(b, k, '@'), t.At, 'g', -1, 64)
 }
 
 // Signal is an immutable binary signal. The zero Signal is the constant-zero
@@ -84,27 +98,36 @@ var (
 // The transitions must satisfy S1 and S2 and alternate starting from
 // initial.Not(); otherwise an error is returned. The slice is copied.
 func New(initial Value, trs ...Transition) (Signal, error) {
-	prev := math.Inf(-1)
-	want := initial.Not()
-	for _, tr := range trs {
-		if math.IsNaN(tr.At) || math.IsInf(tr.At, 0) {
-			return Signal{}, fmt.Errorf("%w: %v", ErrNotFinite, tr.At)
-		}
-		if tr.At < 0 {
-			return Signal{}, fmt.Errorf("%w: %v", ErrNegativeTime, tr.At)
-		}
-		if tr.At <= prev {
-			return Signal{}, fmt.Errorf("%w: %v after %v", ErrNotIncreasing, tr.At, prev)
-		}
-		if tr.To != want {
-			return Signal{}, fmt.Errorf("%w: transition to %v at %v", ErrNotAlternate, tr.To, tr.At)
-		}
-		prev = tr.At
-		want = want.Not()
+	if err := check(initial, trs); err != nil {
+		return Signal{}, err
 	}
 	cp := make([]Transition, len(trs))
 	copy(cp, trs)
 	return Signal{initial: initial, trs: cp}, nil
+}
+
+// check is New's validation: S1, S2, finite times and alternation from
+// initial.Not().
+func check(initial Value, trs []Transition) error {
+	prev := math.Inf(-1)
+	want := initial.Not()
+	for _, tr := range trs {
+		if math.IsNaN(tr.At) || math.IsInf(tr.At, 0) {
+			return fmt.Errorf("%w: %v", ErrNotFinite, tr.At)
+		}
+		if tr.At < 0 {
+			return fmt.Errorf("%w: %v", ErrNegativeTime, tr.At)
+		}
+		if tr.At <= prev {
+			return fmt.Errorf("%w: %v after %v", ErrNotIncreasing, tr.At, prev)
+		}
+		if tr.To != want {
+			return fmt.Errorf("%w: transition to %v at %v", ErrNotAlternate, tr.To, tr.At)
+		}
+		prev = tr.At
+		want = want.Not()
+	}
+	return nil
 }
 
 // MustNew is New but panics on invalid input. Intended for literals in tests
@@ -267,32 +290,40 @@ func (s Signal) Before(t float64) Signal {
 // transitions). The constant signal formats as "0" or "1".
 func (s Signal) String() string {
 	var b strings.Builder
+	b.Grow(1 + (1+maxTransitionText)*len(s.trs))
 	b.WriteString(s.initial.String())
+	var tmp [1 + maxTransitionText]byte
 	for _, tr := range s.trs {
-		b.WriteByte(' ')
-		b.WriteString(tr.String())
+		b.Write(tr.appendText(append(tmp[:0], ' ')))
 	}
 	return b.String()
 }
 
 // Parse parses the format produced by String: an initial value "0" or "1"
 // followed by whitespace-separated transitions "r@<time>" / "f@<time>".
+// Fields are split as strings.Fields splits them: on runs of
+// unicode.IsSpace runes, invalid UTF-8 counting as non-space.
 func Parse(text string) (Signal, error) {
-	fields := strings.Fields(text)
-	if len(fields) == 0 {
+	first, rest := cutField(text)
+	if first == "" {
 		return Signal{}, errors.New("signal: empty text")
 	}
 	var initial Value
-	switch fields[0] {
+	switch first {
 	case "0":
 		initial = Low
 	case "1":
 		initial = High
 	default:
-		return Signal{}, fmt.Errorf("signal: bad initial value %q", fields[0])
+		return Signal{}, fmt.Errorf("signal: bad initial value %q", first)
 	}
-	trs := make([]Transition, 0, len(fields)-1)
-	for _, f := range fields[1:] {
+	// Every transition field holds an '@', so this is never too small.
+	trs := make([]Transition, 0, strings.Count(rest, "@"))
+	for {
+		var f string
+		if f, rest = cutField(rest); f == "" {
+			break
+		}
 		var to Value
 		switch {
 		case strings.HasPrefix(f, "r@"):
@@ -310,5 +341,50 @@ func Parse(text string) (Signal, error) {
 		}
 		trs = append(trs, Transition{At: at, To: to})
 	}
-	return New(initial, trs...)
+	// trs is Parse's own, so it needs New's checks but not its copy.
+	if err := check(initial, trs); err != nil {
+		return Signal{}, err
+	}
+	return Signal{initial: initial, trs: trs}, nil
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// cutField returns the first field of s and what follows it; field is ""
+// when s holds no more fields. Fields are delimited as in strings.Fields:
+// by runs of unicode.IsSpace runes, an invalid byte being a one-byte
+// non-space rune.
+func cutField(s string) (field, rest string) {
+	i := 0
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		if !unicode.IsSpace(r) {
+			break
+		}
+		i += w
+	}
+	j := i
+	for j < len(s) {
+		if c := s[j]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			j++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[j:])
+		if unicode.IsSpace(r) {
+			break
+		}
+		j += w
+	}
+	return s[i:j], s[j:]
 }

@@ -364,7 +364,7 @@ func TestQuickStringParseRoundTrip(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		s := randomSignal(r)
 		got, err := Parse(s.String())
-		// String uses %g so round trips exactly through Parse for these values.
+		// String prints the shortest text that parses back to the same float64.
 		return err == nil && got.Initial() == s.Initial() && got.Len() == s.Len()
 	}
 	if err := quick.Check(f, cfg); err != nil {

@@ -339,6 +339,49 @@ func TestValidateFailurePropagates(t *testing.T) {
 	}
 }
 
+// TestValidationFollowsEdits: Circuit.Validate remembers a success, so a
+// circuit edited after a successful run must be validated again. A valid
+// circuit has no undriven pin left, so no Connect can follow it directly;
+// an AddGate comes first (undriven), then the Connects that drive it close
+// a zero-delay loop.
+func TestValidationFollowsEdits(t *testing.T) {
+	c := circuit.New("edit")
+	for _, err := range []error{
+		c.AddInput("i"), c.AddGate("a", gate.Buf(), signal.Low), c.AddOutput("o"),
+		c.Connect("i", "a", 0, nil), c.Connect("a", "o", 0, nil),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := map[string]signal.Signal{"i": signal.MustPulse(1, 1)}
+	run := func() error {
+		_, err := Run(c, in, Options{Horizon: 10})
+		return err
+	}
+	if err := run(); err != nil {
+		t.Fatalf("valid circuit: %v", err)
+	}
+	if err := c.AddGate("b", gate.Buf(), signal.Low); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(); err == nil || !strings.Contains(err.Error(), `gate "b" pin 0 undriven`) {
+		t.Fatalf("after AddGate of an undriven gate: err = %v", err)
+	}
+	if err := c.AddGate("d", gate.Buf(), signal.Low); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Connect("b", "d", 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Connect("d", "b", 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(); err == nil || !strings.Contains(err.Error(), "zero-delay cycle") {
+		t.Fatalf("after closing a zero-delay loop: err = %v", err)
+	}
+}
+
 // fanout4 drives four BUF gates a–d from one port through pure d=1
 // channels; an XOR4 joins them again through pure d=2 channels and every
 // gate has an output port, so each timestamp changes several nodes in one
