@@ -129,11 +129,13 @@ func TestInterruptFlushesPartialReport(t *testing.T) {
 	dir := t.TempDir()
 	bin := buildSimctl(t, dir)
 	net := writeFile(t, dir, "chain.net", chainNetlist)
-	stim := "i=" + pulseTrain(2000)
+	// Sized to run ~1 s on a 2-vCPU host, so the SIGINT at 300 ms lands
+	// mid-run instead of after the campaign finished.
+	stim := "i=" + pulseTrain(6000)
 
 	csv := filepath.Join(dir, "part.csv")
 	statsJSON := filepath.Join(dir, "part.json")
-	cmd := exec.Command(bin, "campaign", "-f", net, "-in", stim, "-horizon", "7000", "-workers", "2",
+	cmd := exec.Command(bin, "campaign", "-f", net, "-in", stim, "-horizon", "21000", "-workers", "2",
 		"-csv", csv, "-stats-json", statsJSON)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)

@@ -1,16 +1,16 @@
-// Command simload floods a simd node with open-loop traffic — offered
+package main
+
+// simctl load floods a simd node with open-loop traffic — offered
 // arrivals do not wait for completions, the way a crowd of independent
 // clients behaves — and reports whether the node's overload protection
 // held: goodput, shed/throttle counts, latency quantiles, and a strict
 // zero-lost audit (every 2xx-accepted submit must come back with a
 // terminal record).
 //
-// Usage:
-//
-//	simload -addr http://127.0.0.1:8080 -rate 200 -duration 10s
-//	simload -addr http://127.0.0.1:8080 -x 4 -duration 10s        # 4x measured capacity
-//	simload -x 4 -tenants 8 -churn 2s -zipf 1.2 -deadline-ms 500
-//	simload -x 4 -want-sheds -max-lost 0 -max-p99 5s -json        # CI assertion mode
+//	simctl load -addr http://127.0.0.1:8080 -rate 200 -duration 10s
+//	simctl load -addr 127.0.0.1:8080 -x 4 -duration 10s       # 4x measured capacity
+//	simctl load -x 4 -tenants 8 -churn 2s -zipf 1.2 -deadline-ms 500
+//	simctl load -x 4 -want-sheds -max-lost 0 -max-p99 5s -json # CI assertion mode
 //
 // Offered rate comes from -rate (submits/sec), or from -x k: the node's
 // single-job service time is measured with one uncached calibration
@@ -26,32 +26,26 @@
 // Assertions (for CI): -want-sheds requires at least one 429/503,
 // -max-lost bounds accepted-but-unreturned jobs (set 0 to forbid any),
 // -max-p99 bounds the accepted-submit p99 latency, -min-goodput sets a
-// goodput floor in submits/sec. A violated assertion exits 2; transport
-// or usage errors exit 1; a clean run exits 0. -json prints the full
-// machine-readable load.Result to stdout.
-package main
+// goodput floor in submits/sec. A violated assertion exits 2; transport,
+// calibration or usage errors exit 1; a clean run exits 0. -json prints
+// the full machine-readable load.Result to stdout.
 
 import (
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
-	ossignal "os/signal"
-	"strings"
-	"syscall"
+	"io"
 	"time"
 
+	"involution/internal/cluster"
 	"involution/internal/load"
 	"involution/internal/sim"
 )
 
-func main() {
-	os.Exit(run())
-}
-
-func run() int {
-	fs := flag.NewFlagSet("simload", flag.ContinueOnError)
+func runLoad(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("simctl load", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "simd node base URL")
 	duration := fs.Duration("duration", 10*time.Second, "offering window")
 	rate := fs.Float64("rate", 0, "offered submits/sec (0: derive from -x)")
@@ -70,21 +64,16 @@ func run() int {
 	maxLost := fs.Int64("max-lost", -1, "assert: at most this many accepted-but-unreturned jobs (-1: off, 0: forbid any)")
 	maxP99 := fs.Duration("max-p99", 0, "assert: accepted-submit p99 latency bound (0: off)")
 	minGoodput := fs.Float64("min-goodput", 0, "assert: goodput floor in accepted submits/sec (0: off)")
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return sim.ExitUsage
 	}
 	if *rate <= 0 && *mult <= 0 {
-		fmt.Fprintln(os.Stderr, "simload: one of -rate or -x is required")
-		return sim.ExitUsage
+		return fatal(stderr, fmt.Errorf("one of -rate or -x is required"))
 	}
 
-	ctx, stop := ossignal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	base := strings.TrimRight(*addr, "/")
-	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-		base = "http://" + base
-	}
+	ctx, stopSignals := signalContext()
+	defer stopSignals()
+	base := cluster.BaseURL(*addr)
 
 	offered := *rate
 	if offered <= 0 {
@@ -92,23 +81,21 @@ func run() int {
 		// reports the pool width; k× capacity = k·width/serviceTime.
 		svc, err := load.Calibrate(ctx, base, *horizon, time.Now().UnixNano(), *timeout)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "simload: calibration: %v\n", err)
-			return sim.ExitUsage
+			return fatal(stderr, fmt.Errorf("calibration: %w", err))
 		}
-		width, err := load.Width(ctx, base, *timeout)
+		hctx, cancel := context.WithTimeout(ctx, *timeout)
+		h, err := cluster.NewClient(*timeout, nil, "").Health(hctx, base)
+		cancel()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "simload: reading pool width: %v\n", err)
-			return sim.ExitUsage
+			return fatal(stderr, fmt.Errorf("reading pool width: %w", err))
 		}
-		offered = *mult * float64(width) / svc.Seconds()
-		if offered < 1 {
-			offered = 1
-		}
-		fmt.Fprintf(os.Stderr, "simload: calibrated service time %v, width %d -> offering %.1f submits/s (%.1fx capacity)\n",
+		width := max(h.Width, 1)
+		offered = max(*mult*float64(width)/svc.Seconds(), 1)
+		fmt.Fprintf(stderr, "simctl load: calibrated service time %v, width %d -> offering %.1f submits/s (%.1fx capacity)\n",
 			svc.Round(time.Millisecond), width, offered, *mult)
 	}
 
-	fmt.Fprintf(os.Stderr, "simload: flooding %s for %v at %.1f submits/s (tenants=%d keyspace=%d zipf=%g deadline=%dms)\n",
+	fmt.Fprintf(stderr, "simctl load: flooding %s for %v at %.1f submits/s (tenants=%d keyspace=%d zipf=%g deadline=%dms)\n",
 		base, *duration, offered, *tenants, *keyspace, *zipf, *deadlineMS)
 
 	res, err := load.Run(ctx, load.Profile{
@@ -126,24 +113,22 @@ func run() int {
 		Timeout:    *timeout,
 	})
 	if err != nil && res.Offered == 0 {
-		fmt.Fprintf(os.Stderr, "simload: %v\n", err)
-		return sim.ExitUsage
+		return fatal(stderr, err)
 	}
-	fmt.Fprintf(os.Stderr, "simload: %s\n", res)
+	fmt.Fprintf(stderr, "simctl load: %s\n", res)
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
-			fmt.Fprintf(os.Stderr, "simload: encoding result: %v\n", err)
-			return sim.ExitUsage
+			return fatal(stderr, fmt.Errorf("encoding result: %w", err))
 		}
 	}
 
 	failed := false
 	fail := func(format string, args ...any) {
 		failed = true
-		fmt.Fprintf(os.Stderr, "simload: FAIL: "+format+"\n", args...)
+		fmt.Fprintf(stderr, "simctl load: FAIL: "+format+"\n", args...)
 	}
 	if *wantSheds && res.ShedQuota+res.ShedCapacity == 0 {
 		fail("expected sheds under overload, saw none (offered %d, accepted %d)", res.Offered, res.Accepted)
@@ -163,6 +148,6 @@ func run() int {
 	if failed {
 		return sim.ExitAbort
 	}
-	fmt.Fprintln(os.Stderr, "simload: PASS")
+	fmt.Fprintln(stderr, "simctl load: PASS")
 	return sim.ExitOK
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"net/http/httptest"
-	"os"
 	"testing"
 	"time"
 
@@ -11,18 +10,9 @@ import (
 	"involution/internal/sim"
 )
 
-// withArgs runs main's run() with a synthetic argv.
-func withArgs(t *testing.T, args ...string) int {
-	t.Helper()
-	old := os.Args
-	defer func() { os.Args = old }()
-	os.Args = append([]string{"simload"}, args...)
-	return run()
-}
-
 func TestRunUsageErrors(t *testing.T) {
-	if code := withArgs(t, "-addr", "http://127.0.0.1:1"); code != sim.ExitUsage {
-		t.Fatalf("missing -rate/-x: exit %d, want %d", code, sim.ExitUsage)
+	if code, out := runCLI(t, "load", "-addr", "http://127.0.0.1:1"); code != sim.ExitUsage {
+		t.Fatalf("missing -rate/-x: exit %d, want %d\n%s", code, sim.ExitUsage, out)
 	}
 }
 
@@ -41,7 +31,7 @@ func TestFloodShedsAndPasses(t *testing.T) {
 
 	// A 150/s flood against a 20 rps quota must shed with 429s while
 	// losing nothing it accepted.
-	code := withArgs(t,
+	code, out := runCLI(t, "load",
 		"-addr", ts.URL,
 		"-rate", "150",
 		"-duration", "400ms",
@@ -51,7 +41,7 @@ func TestFloodShedsAndPasses(t *testing.T) {
 		"-max-lost", "0",
 	)
 	if code != sim.ExitOK {
-		t.Fatalf("flood run exit %d, want %d", code, sim.ExitOK)
+		t.Fatalf("flood run exit %d, want %d\n%s", code, sim.ExitOK, out)
 	}
 }
 
@@ -64,13 +54,13 @@ func TestAssertionFailureExitsAbort(t *testing.T) {
 	}()
 
 	// A gentle trickle sheds nothing; -want-sheds must then fail the run.
-	code := withArgs(t,
+	code, out := runCLI(t, "load",
 		"-addr", ts.URL,
 		"-rate", "5",
 		"-duration", "300ms",
 		"-want-sheds",
 	)
 	if code != sim.ExitAbort {
-		t.Fatalf("unmet -want-sheds exit %d, want %d", code, sim.ExitAbort)
+		t.Fatalf("unmet -want-sheds exit %d, want %d\n%s", code, sim.ExitAbort, out)
 	}
 }

@@ -17,6 +17,7 @@
 //	simctl trace    <trace-id|job-hash> -peers host:8080,host:8081
 //	simctl top      -peers host:8080,host:8081 -once
 //	simctl query    -lake /var/lib/simd/lake -circuit spf -since 24h
+//	simctl load     -addr host:8080 -x 4 -duration 10s -want-sheds -max-lost 0
 //
 // One mode rule holds for campaign and attack: they run in-process when
 // -peers is empty and on the fleet otherwise, with the same grid and the
@@ -32,6 +33,10 @@
 // (/debug/jobs) into one cross-node timeline; `simctl top` polls the
 // fleet's flight recorders for the slowest retained jobs.
 //
+// load floods one simd node with open-loop traffic and audits its
+// overload protection: sheds carry Retry-After and no accepted job is
+// lost.
+//
 // sweep reruns the Theorem 9 experiment remotely: for each adversary the
 // Fig. 5 SPF circuit is rendered as a netlist (experiments.SPFNetlist),
 // SET strikes spanning the cancel/metastable/lock regimes are injected on
@@ -42,7 +47,8 @@
 // 1 on usage, I/O or cluster errors, 5 when SIGINT/SIGTERM interrupted
 // the run — partial artifacts are flushed. run and spf exit 2, 3 or 4
 // when their simulation aborted on the event budget, the -deadline or a
-// recovered panic; attack exits 2 when it found no breaking attack.
+// recovered panic; attack exits 2 when it found no breaking attack, load
+// exits 2 when one of its assertions failed.
 package main
 
 import (
@@ -93,6 +99,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runChaosSoak(args[1:], stdout, stderr)
 	case "query":
 		return runQuery(args[1:], stdout, stderr)
+	case "load":
+		return runLoad(args[1:], stdout, stderr)
 	case "-h", "-help", "--help", "help":
 		usage(stdout)
 		return 0
@@ -114,6 +122,7 @@ func usage(w io.Writer) {
   simctl top      -peers <addr,...> [-n 10] [-once]   slowest retained jobs across the fleet
   simctl chaos-soak -peers <addr,...> [-schedules 2] [-dir out]   byte-identity soak under seeded chaos + coordinator kill/resume
   simctl query    -lake <dir> [-key hex] [-circuit name] [-class name] [-since t] [-until t] [-json|-payload]   search/export a result lake, no daemon needed
+  simctl load     -addr <addr> (-rate r | -x k) [-want-sheds] [-max-lost 0] [-json]   open-loop overload flood of one simd node
 
 run 'simctl <command> -h' for the command's flags
 `)

@@ -21,15 +21,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
-	"strings"
 	"time"
 
 	"involution/internal/chaos"
+	"involution/internal/cluster"
 	"involution/internal/journal"
 	"involution/internal/sim"
 )
@@ -50,7 +51,11 @@ func runChaosSoak(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return sim.ExitUsage
 	}
-	if *peers == "" {
+	hosts, err := peerHosts(*peers)
+	if err != nil {
+		return fatal(stderr, err)
+	}
+	if len(hosts) == 0 {
 		return fatal(stderr, fmt.Errorf("-peers is required (comma-separated simd addresses)"))
 	}
 	bin := *self
@@ -79,7 +84,7 @@ func runChaosSoak(args []string, stdout, stderr io.Writer) int {
 
 	s := &soak{
 		ctx: ctx, bin: bin, dir: work, stdout: stdout,
-		peers: strings.Split(*peers, ","),
+		peers: hosts,
 		common: []string{
 			"-peers", *peers,
 			"-adversaries", *adversaries,
@@ -110,7 +115,7 @@ type soak struct {
 	dir       string
 	stdout    io.Writer
 	common    []string // sweep flags shared by every leg
-	peers     []string // fleet addresses (bounds generated schedules' blast radius)
+	peers     []string // fleet hosts (bounds generated schedules' blast radius)
 	clean     []byte   // baseline CSV
 	cleanJSON []byte   // baseline JSONL
 	integrity int      // corruptions caught across chaos legs
@@ -208,6 +213,21 @@ poll:
 	s.integrity += out.integrity
 	fmt.Fprintf(s.stdout, "chaos-soak: kill-resume: byte-identical, %d shards replayed from the journal\n", out.replays)
 	return nil
+}
+
+// peerHosts returns the host:port the coordinator dials for each address
+// in a -peers list: the name chaos rules match against (req.URL.Host), so
+// a schedule's victims are hosts the transport actually sees.
+func peerHosts(peers string) ([]string, error) {
+	var hosts []string
+	for _, p := range splitPeers(peers) {
+		u, err := url.Parse(cluster.BaseURL(p))
+		if err != nil {
+			return nil, fmt.Errorf("-peers: %w", err)
+		}
+		hosts = append(hosts, u.Host)
+	}
+	return hosts, nil
 }
 
 func (s *soak) writeSchedule(name string, seed int64, k int) (string, error) {

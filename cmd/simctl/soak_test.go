@@ -1,11 +1,19 @@
 package main
 
 import (
+	"context"
+	"errors"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"involution/internal/chaos"
+	"involution/internal/cluster"
 )
 
 // buildSimctl compiles this command into dir and returns the binary path
@@ -93,5 +101,44 @@ func TestChaosSweepByteIdentical(t *testing.T) {
 	}
 	if strings.Contains(log, " 0 integrity failures") {
 		t.Fatalf("chaos sweep caught zero corruptions:\n%s", log)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestSoakVictimsAreDialedHosts pins that chaos-soak names its victims by
+// the host:port the coordinator dials — the name the chaos transport
+// matches rules against — even when -peers carries URL schemes and
+// spaces. Otherwise the refusing faults never fire and the soak passes
+// without testing them.
+func TestSoakVictimsAreDialedHosts(t *testing.T) {
+	const peers = "http://a:1, b:2"
+	var dialed []string
+	client := cluster.NewClient(time.Second, roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		dialed = append(dialed, r.URL.Host)
+		return nil, errors.New("no network in this test")
+	}), "")
+	for _, p := range splitPeers(peers) {
+		client.Health(context.Background(), p)
+	}
+	hosts, err := peerHosts(peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victims := 0
+	for k := 0; k < 3; k++ {
+		for _, r := range chaos.Generate(7, k, hosts).Rules {
+			for _, n := range r.Nodes {
+				victims++
+				if !slices.Contains(dialed, n) {
+					t.Errorf("schedule %d names victim %q; the coordinator dials %q", k, n, dialed)
+				}
+			}
+		}
+	}
+	if victims == 0 {
+		t.Fatal("no generated rule names a victim node")
 	}
 }

@@ -2,19 +2,17 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
 
+	"involution/internal/cluster"
 	"involution/internal/obs/tracing"
-	"involution/internal/server/api"
 	"involution/internal/sim"
 )
 
@@ -102,63 +100,6 @@ func isTraceID(s string) bool {
 	return true
 }
 
-// fetchDebugJobs pulls one node's flight-recorder entries (GET
-// /debug/jobs) with the given query string.
-func fetchDebugJobs(ctx context.Context, addr, query string) ([]tracing.JobEntry, error) {
-	base := addr
-	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-		base = "http://" + base
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(base, "/")+"/debug/jobs"+query, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", addr, err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", addr, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("%s: HTTP %d: %s", addr, resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-	var out []tracing.JobEntry
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var e tracing.JobEntry
-		if err := dec.Decode(&e); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, fmt.Errorf("%s: decoding /debug/jobs: %w", addr, err)
-		}
-		out = append(out, e)
-	}
-}
-
-// fetchHealth pulls one node's /healthz snapshot (status plus live queue
-// depth and running-job count).
-func fetchHealth(ctx context.Context, addr string) (api.Health, error) {
-	base := addr
-	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-		base = "http://" + base
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(base, "/")+"/healthz", nil)
-	if err != nil {
-		return api.Health{}, fmt.Errorf("%s: %w", addr, err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return api.Health{}, fmt.Errorf("%s: %w", addr, err)
-	}
-	defer resp.Body.Close()
-	var h api.Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return api.Health{}, fmt.Errorf("%s: decoding /healthz: %w", addr, err)
-	}
-	return h, nil
-}
-
 func splitPeers(s string) []string {
 	var peers []string
 	for _, p := range strings.Split(s, ",") {
@@ -206,10 +147,11 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		traceID = "" // resolved from the first matching entry
 	}
 
+	client := cluster.NewClient(*timeout, nil, "")
 	var spans []tracing.SpanRec
 	for _, addr := range peers {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		entries, err := fetchDebugJobs(ctx, addr, query)
+		entries, err := client.DebugJobs(ctx, addr, query)
 		cancel()
 		if err != nil {
 			fmt.Fprintf(stderr, "simctl trace: %v (continuing without that node)\n", err)
@@ -267,6 +209,7 @@ func runTop(args []string, stdout, stderr io.Writer) int {
 
 	ctx, stopSignals := signalContext()
 	defer stopSignals()
+	client := cluster.NewClient(*timeout, nil, "")
 
 	for {
 		// Running attack searches, when asked for: their coordinators keep
@@ -279,57 +222,9 @@ func runTop(args []string, stdout, stderr io.Writer) int {
 			sort.Strings(paths)
 			attackProgressSection(stdout, paths)
 			fmt.Fprintln(stdout)
-			if len(peers) == 0 {
-				if *once {
-					return 0
-				}
-				select {
-				case <-ctx.Done():
-					return sim.ExitCanceled
-				case <-time.After(*interval):
-				}
-				fmt.Fprintln(stdout)
-				continue
-			}
 		}
-
-		// Fleet load: live queue depth and running jobs per node.
-		fmt.Fprintf(stdout, "%-20s %-10s %8s %8s %6s %8s %10s\n", "NODE", "HEALTH", "QUEUE", "RUNNING", "WIDTH", "SHED", "THROTTLED")
-		for _, addr := range peers {
-			fctx, cancel := context.WithTimeout(ctx, *timeout)
-			h, err := fetchHealth(fctx, addr)
-			cancel()
-			if err != nil {
-				fmt.Fprintf(stdout, "%-20s %-10s %8s %8s %6s %8s %10s\n", addr, "down", "-", "-", "-", "-", "-")
-				continue
-			}
-			fmt.Fprintf(stdout, "%-20s %-10s %8d %8d %6d %8d %10d\n", addr, h.Status, h.Queue, h.Running, h.Width, h.Shed, h.Throttled)
-		}
-		fmt.Fprintln(stdout)
-
-		var all []tracing.JobEntry
-		for _, addr := range peers {
-			fctx, cancel := context.WithTimeout(ctx, *timeout)
-			entries, err := fetchDebugJobs(fctx, addr, fmt.Sprintf("?n=%d", *n))
-			cancel()
-			if err != nil {
-				fmt.Fprintf(stderr, "simctl top: %v\n", err)
-				continue
-			}
-			all = append(all, entries...)
-		}
-		sort.SliceStable(all, func(i, j int) bool { return all[i].DurNS > all[j].DurNS })
-		if len(all) > *n {
-			all = all[:*n]
-		}
-		fmt.Fprintf(stdout, "%-12s %-10s %-10s %-20s %-16s %s\n", "DURATION", "STATUS", "CLASS", "NODE", "HASH", "TRACE")
-		for _, e := range all {
-			hash := e.Hash
-			if len(hash) > 16 {
-				hash = hash[:16]
-			}
-			fmt.Fprintf(stdout, "%-12s %-10s %-10s %-20s %-16s %s\n",
-				fmt.Sprintf("%.3fms", float64(e.DurNS)/1e6), e.Status, e.Class, e.Node, hash, e.TraceID)
+		if len(peers) > 0 {
+			printFleet(ctx, client, peers, *n, *timeout, stdout, stderr)
 		}
 		if *once {
 			return 0
@@ -340,5 +235,47 @@ func runTop(args []string, stdout, stderr io.Writer) int {
 		case <-time.After(*interval):
 		}
 		fmt.Fprintln(stdout)
+	}
+}
+
+// printFleet renders top's fleet tables: each node's health and load, then
+// the n slowest jobs its flight recorder retains.
+func printFleet(ctx context.Context, client *cluster.Client, peers []string, n int, timeout time.Duration, stdout, stderr io.Writer) {
+	fmt.Fprintf(stdout, "%-20s %-10s %8s %8s %6s %8s %10s\n", "NODE", "HEALTH", "QUEUE", "RUNNING", "WIDTH", "SHED", "THROTTLED")
+	for _, addr := range peers {
+		fctx, cancel := context.WithTimeout(ctx, timeout)
+		h, _ := client.Health(fctx, addr) // a draining node's 503 still carries its snapshot
+		cancel()
+		if h.Status == "" {
+			fmt.Fprintf(stdout, "%-20s %-10s %8s %8s %6s %8s %10s\n", addr, "down", "-", "-", "-", "-", "-")
+			continue
+		}
+		fmt.Fprintf(stdout, "%-20s %-10s %8d %8d %6d %8d %10d\n", addr, h.Status, h.Queue, h.Running, h.Width, h.Shed, h.Throttled)
+	}
+	fmt.Fprintln(stdout)
+
+	var all []tracing.JobEntry
+	for _, addr := range peers {
+		fctx, cancel := context.WithTimeout(ctx, timeout)
+		entries, err := client.DebugJobs(fctx, addr, fmt.Sprintf("?n=%d", n))
+		cancel()
+		if err != nil {
+			fmt.Fprintf(stderr, "simctl top: %v\n", err)
+			continue
+		}
+		all = append(all, entries...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].DurNS > all[j].DurNS })
+	if len(all) > n {
+		all = all[:n]
+	}
+	fmt.Fprintf(stdout, "%-12s %-10s %-10s %-20s %-16s %s\n", "DURATION", "STATUS", "CLASS", "NODE", "HASH", "TRACE")
+	for _, e := range all {
+		hash := e.Hash
+		if len(hash) > 16 {
+			hash = hash[:16]
+		}
+		fmt.Fprintf(stdout, "%-12s %-10s %-10s %-20s %-16s %s\n",
+			fmt.Sprintf("%.3fms", float64(e.DurNS)/1e6), e.Status, e.Class, e.Node, hash, e.TraceID)
 	}
 }

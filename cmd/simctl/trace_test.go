@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"involution/internal/cluster"
 	"involution/internal/obs/tracing"
 	"involution/internal/server"
 )
@@ -101,8 +102,9 @@ channel b2 o 0 zero
 	if err != nil {
 		t.Fatal(err)
 	}
+	client := cluster.NewClient(time.Second, nil, "")
 	for _, addr := range []string{nodeA, nodeB} {
-		entries, err := fetchDebugJobs(context.Background(), addr, "?trace="+traceID)
+		entries, err := client.DebugJobs(context.Background(), addr, "?trace="+traceID)
 		if err != nil {
 			t.Fatalf("fetch %s: %v", addr, err)
 		}
@@ -159,5 +161,35 @@ channel b1 o 0 zero
 	}
 	if !strings.Contains(out, "DURATION") || !strings.Contains(out, "node-top") {
 		t.Fatalf("top table lacks header or node rows:\n%s", out)
+	}
+}
+
+// TestTopShowsDrainingNode pins that a draining node, whose /healthz
+// answers 503 with its snapshot, is listed as draining — not down — while
+// an unreachable address is down.
+func TestTopShowsDrainingNode(t *testing.T) {
+	s := server.New(server.Config{Workers: 3, QueueDepth: 8})
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
+	s.Drain(5 * time.Second)
+	node := hs.Listener.Addr().String()
+
+	code, out := runCLI(t, "top", "-peers", node+",127.0.0.1:1", "-once", "-timeout", "2s")
+	if code != 0 {
+		t.Fatalf("top: exit %d\n%s", code, out)
+	}
+	var drainRow, downRow string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, node+" ") {
+			drainRow = line
+		} else if strings.HasPrefix(line, "127.0.0.1:1 ") {
+			downRow = line
+		}
+	}
+	if f := strings.Fields(drainRow); len(f) < 5 || f[1] != "draining" || f[4] != "3" {
+		t.Fatalf("draining node row = %q, want status draining and width 3:\n%s", drainRow, out)
+	}
+	if f := strings.Fields(downRow); len(f) < 2 || f[1] != "down" {
+		t.Fatalf("unreachable node row = %q, want down:\n%s", downRow, out)
 	}
 }

@@ -15,9 +15,9 @@
 // EXPERIMENTS.md for the paper-versus-measured record. Executables:
 //
 //	cmd/simctl    the client CLI: simulate a netlist (run) or the Fig. 5
-//	              SPF circuit (spf), run fault campaigns, drive a fleet
+//	              SPF circuit (spf), run fault campaigns, drive a fleet,
+//	              flood a simd node with overload traffic (load)
 //	cmd/simd      simulation service daemon
-//	cmd/simload   overload generator for simd
 //	cmd/figures   regenerate every figure's data (CSV + ASCII preview)
 //	cmd/delayfit  fit exp-channel parameters to delay samples
 //

@@ -1,14 +1,13 @@
 // Package admission is the overload-protection layer between the simd
 // wire and the simulator kernel: per-tenant identity (API keys) with
 // token-bucket request-rate limits and simulated-event budgets, and
-// VSA-style coalesced usage counters.
+// per-tenant usage counters.
 //
 // The hot path is deliberately lock-free: tenant lookup is an immutable
 // map read (configured tenants) or a sync.Map read (dynamic tenants),
 // each limit check is one GCRA compare-and-swap, and usage accounting is
-// an atomic Δ-add on an Accumulator whose commit happens once per metrics
-// flush, not once per request. Admission therefore never takes a hot lock
-// per request — the `(baseline + Δ)` coalescing pattern.
+// one atomic add per counter, read by the metrics scrape. Admission
+// therefore never takes a hot lock per request.
 //
 // The contract the server builds on:
 //
@@ -97,7 +96,7 @@ type Decision struct {
 	RetryAfter time.Duration
 }
 
-// Usage is one tenant's committed usage counters, published by Flush.
+// Usage is one tenant's usage counters, as Flush reports them.
 type Usage struct {
 	Admitted   int64 // requests admitted
 	ShedRate   int64 // requests refused by the rate bucket
@@ -105,31 +104,33 @@ type Usage struct {
 	Events     int64 // simulated-event cost charged
 }
 
+// counters is live usage: each update is one atomic add.
+type counters struct {
+	admitted, shedRate, shedBudget, eventsUsed atomic.Int64
+}
+
+func (c *counters) usage() Usage {
+	return Usage{
+		Admitted:   c.admitted.Load(),
+		ShedRate:   c.shedRate.Load(),
+		ShedBudget: c.shedBudget.Load(),
+		Events:     c.eventsUsed.Load(),
+	}
+}
+
+func (c *counters) add(u Usage) {
+	c.admitted.Add(u.Admitted)
+	c.shedRate.Add(u.ShedRate)
+	c.shedBudget.Add(u.ShedBudget)
+	c.eventsUsed.Add(u.Events)
+}
+
 // tenant is one key's live state.
 type tenant struct {
 	name   string
 	reqs   *gcra
 	events *gcra
-
-	admitted   Accumulator
-	shedRate   Accumulator
-	shedBudget Accumulator
-	eventsUsed Accumulator
-}
-
-// flush commits the tenant's accumulators and returns the committed
-// totals.
-func (t *tenant) flush() Usage {
-	t.admitted.Flush()
-	t.shedRate.Flush()
-	t.shedBudget.Flush()
-	t.eventsUsed.Flush()
-	return Usage{
-		Admitted:   t.admitted.Baseline(),
-		ShedRate:   t.shedRate.Baseline(),
-		ShedBudget: t.shedBudget.Baseline(),
-		Events:     t.eventsUsed.Baseline(),
-	}
+	counters
 }
 
 func newTenant(name string, l Limits) *tenant {
@@ -152,10 +153,9 @@ type Controller struct {
 
 	dynamic  sync.Map // key → *tenant, unconfigured keys
 	dynCount atomic.Int64
-	// evicted preserves the committed usage of mass-evicted dynamic
-	// tenants so the aggregate "dynamic" row stays monotone across
-	// evictions.
-	evicted [4]atomic.Int64 // admitted, shedRate, shedBudget, events
+	// evicted preserves the usage of mass-evicted dynamic tenants so the
+	// aggregate "dynamic" row stays monotone across evictions.
+	evicted counters
 }
 
 // New builds a Controller from cfg.
@@ -206,11 +206,7 @@ func (c *Controller) lookup(key string) *tenant {
 	// to avoid.
 	if c.dynCount.Load() >= int64(c.cfg.MaxDynamic) {
 		c.dynamic.Range(func(k, v any) bool {
-			u := v.(*tenant).flush()
-			c.evicted[0].Add(u.Admitted)
-			c.evicted[1].Add(u.ShedRate)
-			c.evicted[2].Add(u.ShedBudget)
-			c.evicted[3].Add(u.Events)
+			c.evicted.add(v.(*tenant).usage())
 			c.dynamic.Delete(k)
 			return true
 		})
@@ -257,33 +253,23 @@ func (c *Controller) ChargeEvents(key string, cost int64, now time.Time) Decisio
 	return Decision{OK: true, Tenant: t.name}
 }
 
-// Flush commits every tenant's accumulated usage (folding Δ into the
-// baselines) and reports the committed totals, configured tenants first
-// in configuration order, then "anonymous". Dynamic tenants are
-// aggregated into one "dynamic" row — per-stranger series would be an
-// unbounded metric surface. Call it from the metrics scrape path: that
-// is the single coalesced commit the per-request Δ-adds were deferring.
+// Flush reports every tenant's usage totals, configured tenants first in
+// configuration order, then "anonymous". Dynamic tenants are aggregated
+// into one "dynamic" row — per-stranger series would be an unbounded
+// metric surface. The metrics scrape path calls it.
 func (c *Controller) Flush(fn func(name string, u Usage)) {
 	if c == nil || fn == nil {
 		return
 	}
 	for _, t := range c.order {
-		fn(t.name, t.flush())
+		fn(t.name, t.usage())
 	}
-	fn(c.anon.name, c.anon.flush())
-	dyn := Usage{
-		Admitted:   c.evicted[0].Load(),
-		ShedRate:   c.evicted[1].Load(),
-		ShedBudget: c.evicted[2].Load(),
-		Events:     c.evicted[3].Load(),
-	}
+	fn(c.anon.name, c.anon.usage())
+	var dyn counters
+	dyn.add(c.evicted.usage())
 	c.dynamic.Range(func(_, v any) bool {
-		u := v.(*tenant).flush()
-		dyn.Admitted += u.Admitted
-		dyn.ShedRate += u.ShedRate
-		dyn.ShedBudget += u.ShedBudget
-		dyn.Events += u.Events
+		dyn.add(v.(*tenant).usage())
 		return true
 	})
-	fn("dynamic", dyn)
+	fn("dynamic", dyn.usage())
 }

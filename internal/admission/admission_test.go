@@ -7,64 +7,6 @@ import (
 	"time"
 )
 
-func TestAccumulatorCoalesces(t *testing.T) {
-	var a Accumulator
-	for i := 0; i < 1000; i++ {
-		a.Add(2)
-	}
-	if got := a.Value(); got != 2000 {
-		t.Fatalf("Value = %d, want 2000", got)
-	}
-	if got := a.Baseline(); got != 0 {
-		t.Fatalf("Baseline before flush = %d, want 0 (nothing committed)", got)
-	}
-	if d := a.Flush(); d != 2000 {
-		t.Fatalf("Flush committed %d, want 2000", d)
-	}
-	if d := a.Flush(); d != 0 {
-		t.Fatalf("idempotent re-flush committed %d, want 0", d)
-	}
-	if got, want := a.Value(), a.Baseline(); got != want || got != 2000 {
-		t.Fatalf("after flush Value=%d Baseline=%d, want 2000/2000", got, want)
-	}
-}
-
-func TestAccumulatorConcurrentAddsNeverLost(t *testing.T) {
-	var a Accumulator
-	const workers, per = 8, 10_000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	// A concurrent flusher must never lose Δ.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				a.Flush()
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				a.Add(1)
-			}
-		}()
-	}
-	time.Sleep(time.Millisecond)
-	close(stop)
-	wg.Wait()
-	a.Flush()
-	if got := a.Value(); got != workers*per {
-		t.Fatalf("Value = %d, want %d (adds lost across flushes)", got, workers*per)
-	}
-}
-
 func TestGCRABurstThenRefill(t *testing.T) {
 	g := newGCRA(10, 5) // 10 tok/s, bucket of 5
 	now := time.Unix(1000, 0)

@@ -81,8 +81,9 @@ func (c *Client) integrityFail(err error) error {
 	return err
 }
 
-// baseURL normalizes a peer address to a URL prefix.
-func baseURL(node string) string {
+// BaseURL normalizes a peer address ("host:port" or "http://host:port/")
+// to a URL prefix. It is the one place a simd address becomes a URL.
+func BaseURL(node string) string {
 	if strings.HasPrefix(node, "http://") || strings.HasPrefix(node, "https://") {
 		return strings.TrimRight(node, "/")
 	}
@@ -96,30 +97,9 @@ func baseURL(node string) string {
 func (c *Client) submit(ctx context.Context, node string, body []byte, key string) (api.Record, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	var rec api.Record
-	if err := c.postJSON(ctx, node, "/v1/jobs?wait=1", body, key, &rec); err != nil {
-		return api.Record{}, err
-	}
-	// The transport and the node both said 2xx, but the payload must also
-	// check out against its own hash (see IntegrityError).
-	if err := verifyRecord(node, &rec); err != nil {
-		return api.Record{}, c.integrityFail(err)
-	}
-	return rec, nil
-}
-
-// Health fetches node's GET /healthz, bounded by ctx alone. A draining
-// node's 503 comes back as a *StatusError.
-func (c *Client) Health(ctx context.Context, node string) (api.Health, error) {
-	var h api.Health
-	err := c.getJSON(ctx, node, "/healthz", &h)
-	return h, err
-}
-
-func (c *Client) postJSON(ctx context.Context, node, path string, body []byte, key string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL(node)+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, BaseURL(node)+"/v1/jobs?wait=1", bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("cluster: %s: %w", node, err)
+		return api.Record{}, fmt.Errorf("cluster: %s: %w", node, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if key != "" {
@@ -133,31 +113,87 @@ func (c *Client) postJSON(ctx context.Context, node, path string, body []byte, k
 	if sc := tracing.FromContext(ctx).Context(); sc.Valid() {
 		req.Header.Set(tracing.TraceparentHeader, sc.Traceparent())
 	}
-	return c.roundTrip(node, req, key, out)
-}
-
-func (c *Client) getJSON(ctx context.Context, node, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL(node)+path, nil)
+	raw, err := c.roundTrip(node, req, key)
 	if err != nil {
-		return fmt.Errorf("cluster: %s: %w", node, err)
+		return api.Record{}, err
 	}
-	return c.roundTrip(node, req, "", out)
+	var rec api.Record
+	if err := decode(node, raw, &rec); err != nil {
+		return api.Record{}, err
+	}
+	// The transport and the node both said 2xx, but the payload must also
+	// check out against its own hash (see IntegrityError).
+	if err := verifyRecord(node, &rec); err != nil {
+		return api.Record{}, c.integrityFail(err)
+	}
+	return rec, nil
 }
 
-// roundTrip executes the request and decodes a 2xx JSON body into out. A
-// non-2xx answer becomes a *StatusError carrying the server's error body
-// and Retry-After. When a content key was sent, a 2xx reply that echoes a
-// different key is a wrong-job reply and fails verification (nodes
-// predating the header echo nothing, which passes).
-func (c *Client) roundTrip(node string, req *http.Request, key string, out any) error {
+// Health fetches node's GET /healthz, bounded by ctx alone. A draining
+// node answers 503 with its snapshot: Health returns that snapshot
+// (Status "draining") together with the *StatusError.
+func (c *Client) Health(ctx context.Context, node string) (api.Health, error) {
+	var h api.Health
+	raw, err := c.get(ctx, node, "/healthz")
+	if err == nil {
+		err = decode(node, raw, &h)
+	} else {
+		json.Unmarshal(raw, &h) // err reports the failure; only a 503 body fills h
+	}
+	return h, err
+}
+
+// DebugJobs fetches node's flight-recorder entries: GET /debug/jobs with
+// query ("?trace=<id>", "?hash=<hex>" or "?n=<rows>"), one JSON entry per
+// line, bounded by ctx alone.
+func (c *Client) DebugJobs(ctx context.Context, node, query string) ([]tracing.JobEntry, error) {
+	raw, err := c.get(ctx, node, "/debug/jobs"+query)
+	if err != nil {
+		return nil, err
+	}
+	var out []tracing.JobEntry
+	for dec := json.NewDecoder(bytes.NewReader(raw)); ; {
+		var e tracing.JobEntry
+		if err := dec.Decode(&e); err == io.EOF {
+			return out, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("cluster: %s: decoding /debug/jobs: %w", node, err)
+		}
+		out = append(out, e)
+	}
+}
+
+// get fetches node's GET path and returns the raw body.
+func (c *Client) get(ctx context.Context, node, path string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, BaseURL(node)+path, nil)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %s: %w", node, err)
+	}
+	return c.roundTrip(node, req, "")
+}
+
+func decode(node string, raw []byte, out any) error {
+	if err := json.Unmarshal(raw, out); err != nil {
+		return fmt.Errorf("cluster: %s: decoding response: %w", node, err)
+	}
+	return nil
+}
+
+// roundTrip executes the request and returns the body. A non-2xx answer
+// becomes a *StatusError carrying the server's error body and
+// Retry-After; the body is returned alongside it. When a content key was
+// sent, a 2xx reply that echoes a different key is a wrong-job reply and
+// fails verification (nodes predating the header echo nothing, which
+// passes).
+func (c *Client) roundTrip(node string, req *http.Request, key string) ([]byte, error) {
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("cluster: %s: %w", node, err)
+		return nil, fmt.Errorf("cluster: %s: %w", node, err)
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return fmt.Errorf("cluster: %s: reading response: %w", node, err)
+		return nil, fmt.Errorf("cluster: %s: reading response: %w", node, err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		se := &StatusError{Node: node, Code: resp.StatusCode}
@@ -172,21 +208,15 @@ func (c *Client) roundTrip(node string, req *http.Request, key string, out any) 
 				se.RetryAfter = time.Duration(secs) * time.Second
 			}
 		}
-		return se
+		return raw, se
 	}
 	if key != "" {
 		if echo := resp.Header.Get(api.ContentKeyHeader); echo != "" && echo != key {
-			return c.integrityFail(&IntegrityError{
+			return nil, c.integrityFail(&IntegrityError{
 				Node:   node,
 				Reason: fmt.Sprintf("wrong-job reply: sent content key %.12s…, node echoed %.12s…", key, echo),
 			})
 		}
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return fmt.Errorf("cluster: %s: decoding response: %w", node, err)
-	}
-	return nil
+	return raw, nil
 }

@@ -138,7 +138,7 @@ func TestCoordinatorReschedulesAroundDeadNode(t *testing.T) {
 	if v := metricValue(t, reg, "cluster_reschedule_total"); v == 0 {
 		t.Fatal("expected at least one reschedule off the dead node")
 	}
-	if v := metricValue(t, reg, "cluster_node_healthy_"+sanitizeMetricName(dead)); v != 0 {
+	if v := metricValue(t, reg, "cluster_node_healthy_"+obs.SanitizeMetricName(dead)); v != 0 {
 		t.Fatalf("dead node still marked healthy (gauge %v)", v)
 	}
 }

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"strings"
-
 	"involution/internal/obs"
 )
 
@@ -61,40 +59,24 @@ func newMetrics(reg *obs.Registry) *metrics {
 // nodeHealthy returns (claiming on first use) the per-node health gauge:
 // 1 healthy, 0 broken/draining.
 func (m *metrics) nodeHealthy(node string) *obs.Gauge {
-	return m.reg.Gauge("cluster_node_healthy_"+sanitizeMetricName(node),
+	return m.reg.Gauge("cluster_node_healthy_"+obs.SanitizeMetricName(node),
 		"node availability: 1 healthy, 0 tripped or draining")
 }
 
 // nodeInFlight returns the per-node in-flight gauge.
 func (m *metrics) nodeInFlight(node string) *obs.Gauge {
-	return m.reg.Gauge("cluster_node_inflight_"+sanitizeMetricName(node),
+	return m.reg.Gauge("cluster_node_inflight_"+obs.SanitizeMetricName(node),
 		"requests currently in flight to the node")
 }
 
 // nodeQueue returns the per-node reported queue-depth gauge (from
 // /healthz), and nodeRunning the reported running-job gauge.
 func (m *metrics) nodeQueue(node string) *obs.Gauge {
-	return m.reg.Gauge("cluster_node_queue_"+sanitizeMetricName(node),
+	return m.reg.Gauge("cluster_node_queue_"+obs.SanitizeMetricName(node),
 		"queued jobs the node reported in its last health probe")
 }
 
 func (m *metrics) nodeRunning(node string) *obs.Gauge {
-	return m.reg.Gauge("cluster_node_running_"+sanitizeMetricName(node),
+	return m.reg.Gauge("cluster_node_running_"+obs.SanitizeMetricName(node),
 		"running jobs the node reported in its last health probe")
-}
-
-// sanitizeMetricName maps an address to a legal metric-name suffix:
-// anything outside [a-zA-Z0-9_] becomes '_'.
-func sanitizeMetricName(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"involution/internal/journal"
 	"involution/internal/obs"
@@ -14,6 +13,10 @@ import (
 	"involution/internal/sched"
 	"involution/internal/sim"
 )
+
+// retryFactor scales the exhausted resource on every retry: the event
+// budget for budget aborts, the wall-clock deadline for deadline aborts.
+const retryFactor = 2
 
 // Options configures the resilient campaign execution engine.
 type Options struct {
@@ -25,10 +28,6 @@ type Options struct {
 	// attempt aborts with a retryable class (budget or deadline; panics
 	// and other classes are never retried). Zero disables retry.
 	MaxRetries int
-	// RetryFactor scales the exhausted resource on every retry: the event
-	// budget for budget aborts, the wall-clock deadline for deadline
-	// aborts. Values below 2 are raised to the default 2.
-	RetryFactor int
 	// Checkpoint is the path of the crash-safe journal: every completed
 	// row is appended as it finishes (fsyncs coalesced), so a killed
 	// campaign can restart from the journal instead of from scratch. Empty
@@ -113,9 +112,6 @@ func (e *Engine) Run(ctx context.Context, scenarios []Scenario) (*Report, error)
 	opts := e.Opts
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.RetryFactor < 2 {
-		opts.RetryFactor = 2
 	}
 	met := newEngineMetrics(opts.Registry)
 
@@ -257,10 +253,10 @@ func (e *Engine) runAttempts(ctx context.Context, eopts Options, sc Scenario, op
 			met.retries.Inc()
 			switch lastClass {
 			case sim.ClassBudget:
-				budget *= eopts.RetryFactor
+				budget *= retryFactor
 			case sim.ClassDeadline:
 				if deadline > 0 {
-					deadline *= time.Duration(eopts.RetryFactor)
+					deadline *= retryFactor
 				}
 				seed = scenarioSeed(scenarioSeed(e.Campaign.Seed, sc.ID), attempt)
 			}

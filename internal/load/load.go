@@ -51,8 +51,6 @@ type Profile struct {
 	// Tenants is the number of distinct tenant keys rotated through
 	// (0: every submit is anonymous).
 	Tenants int
-	// TenantPrefix names the synthetic tenants (default "load").
-	TenantPrefix string
 	// Churn rotates the tenant key generation this often, so long runs
 	// exercise the server's dynamic-tenant table and its eviction bound
 	// (0: a single generation).
@@ -80,9 +78,6 @@ func (p Profile) withDefaults() Profile {
 	}
 	if p.KeySpace <= 0 {
 		p.KeySpace = 64
-	}
-	if p.TenantPrefix == "" {
-		p.TenantPrefix = "load"
 	}
 	if p.Horizon <= 0 {
 		p.Horizon = 30
@@ -165,16 +160,9 @@ func Run(ctx context.Context, p Profile) (Result, error) {
 	hc := &http.Client{Timeout: p.Timeout}
 	var (
 		res       Result
-		mu        sync.Mutex // guards latencies
 		latencies []time.Duration
-		counters  struct {
-			offered, accepted, completed, aborted, cacheHits int64
-			shedQuota, shedCapacity, retryAfterMissing       int64
-			lost, errors, saturated                          int64
-		}
-		cmu sync.Mutex // guards counters
+		mu        sync.Mutex // guards res and latencies until wg.Wait
 	)
-	bump := func(f func()) { cmu.Lock(); f(); cmu.Unlock() }
 
 	arrivals := make(chan submitSpec, 4*p.Clients)
 	var wg sync.WaitGroup
@@ -186,35 +174,32 @@ func Run(ctx context.Context, p Profile) (Result, error) {
 				start := time.Now()
 				verdict, cached, terminal := submitOnce(ctx, hc, p, spec)
 				lat := time.Since(start)
+				mu.Lock()
 				switch verdict {
 				case verdictAccepted:
-					bump(func() {
-						counters.accepted++
-						if cached {
-							counters.cacheHits++
-						}
-						if terminal == api.StatusCompleted {
-							counters.completed++
-						} else {
-							counters.aborted++
-						}
-					})
-					mu.Lock()
+					res.Accepted++
+					if cached {
+						res.CacheHits++
+					}
+					if terminal == api.StatusCompleted {
+						res.Completed++
+					} else {
+						res.Aborted++
+					}
 					latencies = append(latencies, lat)
-					mu.Unlock()
 				case verdictLost:
-					bump(func() { counters.lost++ })
-				case verdictQuota:
-					bump(func() { counters.shedQuota++ })
-				case verdictQuotaNoRetryAfter:
-					bump(func() { counters.shedQuota++; counters.retryAfterMissing++ })
-				case verdictCapacity:
-					bump(func() { counters.shedCapacity++ })
-				case verdictCapacityNoRetryAfter:
-					bump(func() { counters.shedCapacity++; counters.retryAfterMissing++ })
+					res.Lost++
+				case verdictQuota, verdictQuotaNoRetryAfter:
+					res.ShedQuota++
+				case verdictCapacity, verdictCapacityNoRetryAfter:
+					res.ShedCapacity++
 				default:
-					bump(func() { counters.errors++ })
+					res.Errors++
 				}
+				if verdict == verdictQuotaNoRetryAfter || verdict == verdictCapacityNoRetryAfter {
+					res.RetryAfterMissing++
+				}
+				mu.Unlock()
 			}
 		}()
 	}
@@ -242,15 +227,17 @@ pace:
 			body:   submitBody(p.Horizon, int64(key)+1),
 			tenant: tenantKey(p, rng, time.Since(start)),
 		}
-		bump(func() { counters.offered++ })
+		mu.Lock()
+		res.Offered++
 		select {
 		case arrivals <- spec:
 		default:
 			// Backlog full: the generator itself saturated. Count it rather
 			// than block — blocking would silently close the loop and stop
 			// measuring overload.
-			bump(func() { counters.saturated++ })
+			res.Saturated++
 		}
+		mu.Unlock()
 		next = next.Add(interval)
 		for {
 			d := time.Until(next)
@@ -269,20 +256,7 @@ pace:
 	close(arrivals)
 	wg.Wait()
 
-	res = Result{
-		Offered:           counters.offered,
-		Accepted:          counters.accepted,
-		Completed:         counters.completed,
-		Aborted:           counters.aborted,
-		CacheHits:         counters.cacheHits,
-		ShedQuota:         counters.shedQuota,
-		ShedCapacity:      counters.shedCapacity,
-		RetryAfterMissing: counters.retryAfterMissing,
-		Lost:              counters.lost,
-		Errors:            counters.errors,
-		Saturated:         counters.saturated,
-		Elapsed:           time.Since(start),
-	}
+	res.Elapsed = time.Since(start)
 	if res.Elapsed > 0 {
 		res.GoodputRPS = float64(res.Accepted) / res.Elapsed.Seconds()
 	}
@@ -292,6 +266,9 @@ pace:
 	res.P99 = quantile(latencies, 0.99)
 	return res, ctx.Err()
 }
+
+// tenantPrefix names the synthetic tenants.
+const tenantPrefix = "load"
 
 // tenantKey draws the submit's tenant. Generations rotate every Churn so
 // a long flood keeps minting fresh dynamic keys on the server.
@@ -303,7 +280,7 @@ func tenantKey(p Profile, rng *rand.Rand, elapsed time.Duration) string {
 	if p.Churn > 0 {
 		gen = int(elapsed / p.Churn)
 	}
-	return fmt.Sprintf("%s-%03d-g%d", p.TenantPrefix, rng.Intn(p.Tenants), gen)
+	return fmt.Sprintf("%s-%03d-g%d", tenantPrefix, rng.Intn(p.Tenants), gen)
 }
 
 type verdict int
@@ -351,15 +328,13 @@ func submitOnce(ctx context.Context, hc *http.Client, p Profile, spec submitSpec
 			return verdictLost, false, ""
 		}
 		return verdictAccepted, rec.Cached, rec.Status
+	case resp.StatusCode == http.StatusTooManyRequests && hasRetryAfter:
+		return verdictQuota, false, ""
 	case resp.StatusCode == http.StatusTooManyRequests:
-		if hasRetryAfter {
-			return verdictQuota, false, ""
-		}
 		return verdictQuotaNoRetryAfter, false, ""
+	case resp.StatusCode == http.StatusServiceUnavailable && hasRetryAfter:
+		return verdictCapacity, false, ""
 	case resp.StatusCode == http.StatusServiceUnavailable:
-		if hasRetryAfter {
-			return verdictCapacity, false, ""
-		}
 		return verdictCapacityNoRetryAfter, false, ""
 	default:
 		return verdictError, false, ""
@@ -402,45 +377,11 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 //
 //	rate = k × width / serviceTime
 func Calibrate(ctx context.Context, addr string, horizon float64, seed int64, timeout time.Duration) (time.Duration, error) {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	hc := &http.Client{Timeout: timeout}
-	body := submitBody(horizon, seed)
+	p := Profile{Addr: addr, Timeout: timeout}.withDefaults()
 	start := time.Now()
-	v, _, _ := submitOnce(ctx, hc, Profile{Addr: addr, Timeout: timeout}.withDefaults(), submitSpec{body: body})
+	v, _, _ := submitOnce(ctx, &http.Client{Timeout: p.Timeout}, p, submitSpec{body: submitBody(horizon, seed)})
 	if v != verdictAccepted {
 		return 0, fmt.Errorf("load: calibration submit refused (verdict %d)", v)
 	}
 	return time.Since(start), nil
-}
-
-// Width fetches the node's effective pool width from /healthz (minimum 1
-// when the node does not report one).
-func Width(ctx context.Context, addr string, timeout time.Duration) (int, error) {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	hc := &http.Client{Timeout: timeout}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/healthz", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return 0, err
-	}
-	var h api.Health
-	if err := json.Unmarshal(raw, &h); err != nil {
-		return 0, fmt.Errorf("load: decoding /healthz: %w", err)
-	}
-	if h.Width < 1 {
-		return 1, nil
-	}
-	return h.Width, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"involution/internal/admission"
+	"involution/internal/cluster"
 	"involution/internal/server"
 )
 
@@ -112,12 +113,13 @@ func TestCalibrateAndWidth(t *testing.T) {
 	if d <= 0 {
 		t.Fatalf("calibrated service time %v", d)
 	}
-	w, err := Width(context.Background(), addr, 5*time.Second)
+	// simctl load reads the pool width through the one simd client.
+	h, err := cluster.NewClient(5*time.Second, nil, "").Health(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w != 3 {
-		t.Fatalf("width = %d, want 3", w)
+	if h.Width != 3 {
+		t.Fatalf("width = %d, want 3", h.Width)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -141,6 +142,23 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.uppers[len(h.uppers)-1]
+}
+
+// SanitizeMetricName maps a free-form name (a tenant key, a peer address)
+// to a legal metric-name suffix: every rune outside [a-zA-Z0-9_] becomes
+// one '_', so ASCII names keep their length.
+func SanitizeMetricName(s string) string {
+	var b strings.Builder
+	b.Grow(len(s))
+	for _, r := range s {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
+			b.WriteRune(r)
+		default:
+			b.WriteByte('_')
+		}
+	}
+	return b.String()
 }
 
 // LinearBuckets returns n upper bounds start, start+width, … .

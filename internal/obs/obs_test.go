@@ -155,3 +155,26 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Fatalf("counter %d, hist %d; want 8000", c.Value(), h.Count())
 	}
 }
+
+// TestSanitizeMetricName pins the one name-to-suffix mapping that simd's
+// per-tenant gauges and the coordinator's per-node gauges share: ASCII
+// names map as they always have, and each non-ASCII rune becomes a single
+// '_' however many bytes encode it.
+func TestSanitizeMetricName(t *testing.T) {
+	for in, want := range map[string]string{
+		"anonymous":      "anonymous",
+		"dynamic":        "dynamic",
+		"tenant-a":       "tenant_a",
+		"node_b":         "node_b",
+		"127.0.0.1:8080": "127_0_0_1_8080",
+		"http://h:1/":    "http___h_1_",
+		"":               "",
+		"tenant-é":       "tenant__",
+		"日本":             "__",
+		"a\xffb":         "a_b",
+	} {
+		if got := SanitizeMetricName(in); got != want {
+			t.Errorf("SanitizeMetricName(%q) = %q, want %q", in, got, want)
+		}
+	}
+}

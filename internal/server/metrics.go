@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"strings"
 
 	"involution/internal/admission"
 	"involution/internal/obs"
@@ -110,13 +109,12 @@ func (m *metrics) capacitySheds() int64 {
 // refresh recomputes the instantaneous gauges from live server state.
 func (m *metrics) refresh(s *Server) {
 	m.queueDepth.Set(float64(s.pool.Depth()))
-	// Commit the admission accumulators — this scrape IS the coalesced
-	// flush the per-request Δ-adds were deferring — and publish one gauge
-	// set per tenant. Gauges (not counters) because a baseline is a level
-	// we re-publish, and the registry's get-or-create makes the dynamic
-	// names cheap after first sight.
+	// Publish one gauge set per tenant from the admission counters. Gauges
+	// (not counters) because each scrape re-publishes a total, and the
+	// registry's get-or-create makes the dynamic names cheap after first
+	// sight.
 	s.admit.Flush(func(name string, u admission.Usage) {
-		sfx := sanitizeMetricName(name)
+		sfx := obs.SanitizeMetricName(name)
 		s.reg.Gauge("simd_tenant_admitted_"+sfx, "requests admitted for tenant "+name).Set(float64(u.Admitted))
 		s.reg.Gauge("simd_tenant_shed_"+sfx, "requests refused (rate + budget) for tenant "+name).Set(float64(u.ShedRate + u.ShedBudget))
 		s.reg.Gauge("simd_tenant_events_"+sfx, "simulated-event cost charged to tenant "+name).Set(float64(u.Events))
@@ -146,22 +144,6 @@ func (m *metrics) refresh(s *Server) {
 	recorded, dropped := s.flight.Stats() // nil-safe: 0/0 when tracing is off
 	m.flightRecorded.Set(float64(recorded))
 	m.flightDropped.Set(float64(dropped))
-}
-
-// sanitizeMetricName maps a tenant name to a legal metric-name suffix:
-// every byte outside [a-zA-Z0-9] becomes '_'.
-func sanitizeMetricName(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9':
-			b.WriteByte(c)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
 }
 
 // metricsHandler refreshes the gauges and delegates to the registry's
