@@ -81,7 +81,11 @@ func runSim(args []string, stdout, stderr io.Writer) int {
 		return fatal(stderr, err)
 	}
 
+	// The listing and the VCD and WaveJSON reports show every node.
 	opts := sim.Options{Horizon: *horizon, MaxEvents: *maxEvents, Deadline: *deadline, Context: ctx}
+	for _, n := range c.Nodes() {
+		opts.Record = append(opts.Record, n.Name)
+	}
 	var et *trace.EventTrace
 	var traceFile *os.File
 	if *traceEvents != "" {

@@ -184,7 +184,7 @@ func runSPF(args []string, stdout, stderr io.Writer) int {
 			d, slow.StabilizationTime, slow.Pulses)
 	}
 	if *vcd != "" {
-		res, err := sys.RunPulse(d0, mk, *horizon)
+		res, err := sys.RunPulse(d0, mk, *horizon, spf.NodeIn, spf.NodeHT)
 		if err != nil {
 			return fatal(stderr, err)
 		}

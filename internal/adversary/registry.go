@@ -74,15 +74,23 @@ func (s Spec) checkParams(known ...string) error {
 // and must be deterministic in the spec.
 type Constructor func(Spec) (Strategy, error)
 
+// registration is one registered strategy: its constructor and the names
+// of the parameters it takes.
+type registration struct {
+	build  Constructor
+	params []string
+}
+
 var (
 	regMu    sync.RWMutex
-	registry = map[string]Constructor{}
+	registry = map[string]registration{}
 )
 
-// Register adds a named strategy constructor. Registering a duplicate or
-// empty name panics: the registry is assembled at init time and a clash is
-// a programming error.
-func Register(name string, c Constructor) {
+// Register adds a named strategy constructor taking the named parameters;
+// New and Validate reject a spec with any other parameter before the
+// constructor runs. Registering a duplicate or empty name panics: the
+// registry is assembled at init time and a clash is a programming error.
+func Register(name string, c Constructor, params ...string) {
 	if name == "" || c == nil {
 		panic("adversary: Register needs a name and a constructor")
 	}
@@ -91,7 +99,7 @@ func Register(name string, c Constructor) {
 	if _, dup := registry[name]; dup {
 		panic("adversary: duplicate strategy " + name)
 	}
-	registry[name] = c
+	registry[name] = registration{build: c, params: params}
 }
 
 // Names lists the registered strategy names, sorted.
@@ -106,16 +114,34 @@ func Names() []string {
 	return out
 }
 
+// lookup returns the registration of the spec's strategy after checking
+// the spec's parameter names against it.
+func lookup(spec Spec) (registration, error) {
+	regMu.RLock()
+	r, ok := registry[spec.Name]
+	regMu.RUnlock()
+	if !ok {
+		return registration{}, fmt.Errorf("unknown adversary %q (want %s)", spec.Name, strings.Join(Names(), "|"))
+	}
+	return r, spec.checkParams(r.params...)
+}
+
+// Validate checks that the spec names a registered strategy and only
+// parameters that strategy takes, without constructing it: a randomized
+// strategy's construction seeds a math/rand source.
+func Validate(spec Spec) error {
+	_, err := lookup(spec)
+	return err
+}
+
 // New constructs a fresh instance of the named strategy. Every call returns
 // independent state, so one spec can drive many channels.
 func New(spec Spec) (Strategy, error) {
-	regMu.RLock()
-	c, ok := registry[spec.Name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("unknown adversary %q (want %s)", spec.Name, strings.Join(Names(), "|"))
+	r, err := lookup(spec)
+	if err != nil {
+		return nil, err
 	}
-	return c(spec)
+	return r.build(spec)
 }
 
 // ParseSpec parses the CLI form "name", "name:k=v,k=v" or
@@ -149,58 +175,26 @@ func ParseSpec(text string) (Spec, error) {
 }
 
 func init() {
-	Register("zero", func(s Spec) (Strategy, error) {
-		if err := s.checkParams(); err != nil {
-			return nil, err
-		}
-		return Zero{}, nil
-	})
-	Register("worst", func(s Spec) (Strategy, error) {
-		if err := s.checkParams(); err != nil {
-			return nil, err
-		}
-		return MinUpTime{}, nil
-	})
-	Register("maxup", func(s Spec) (Strategy, error) {
-		if err := s.checkParams(); err != nil {
-			return nil, err
-		}
-		return MaxUpTime{}, nil
-	})
-	Register("uniform", func(s Spec) (Strategy, error) {
-		if err := s.checkParams(); err != nil {
-			return nil, err
-		}
-		return Uniform{Rng: s.rng()}, nil
-	})
+	Register("zero", func(Spec) (Strategy, error) { return Zero{}, nil })
+	Register("worst", func(Spec) (Strategy, error) { return MinUpTime{}, nil })
+	Register("maxup", func(Spec) (Strategy, error) { return MaxUpTime{}, nil })
+	Register("uniform", func(s Spec) (Strategy, error) { return Uniform{Rng: s.rng()}, nil })
 	Register("gauss", func(s Spec) (Strategy, error) {
-		if err := s.checkParams("sigma"); err != nil {
-			return nil, err
-		}
 		return Gaussian{Rng: s.rng(), Sigma: s.param("sigma", 0)}, nil
-	})
+	}, "sigma")
 	Register("walk", func(s Spec) (Strategy, error) {
-		if err := s.checkParams("step"); err != nil {
-			return nil, err
-		}
 		return &RandomWalk{Rng: s.rng(), Step: s.param("step", 0)}, nil
-	})
+	}, "step")
 	Register("sine", func(s Spec) (Strategy, error) {
-		if err := s.checkParams("amp", "period", "phase"); err != nil {
-			return nil, err
-		}
 		return Sine{Amp: s.param("amp", 0), Period: s.param("period", 0), Phase: s.param("phase", 0)}, nil
-	})
+	}, "amp", "period", "phase")
 	Register("hold", func(s Spec) (Strategy, error) {
-		if err := s.checkParams("tr", "tf", "gain"); err != nil {
-			return nil, err
-		}
 		return Hold{
 			TargetRising:  s.param("tr", 0),
 			TargetFalling: s.param("tf", 0),
 			Gain:          s.param("gain", 1),
 		}, nil
-	})
+	}, "tr", "tf", "gain")
 }
 
 // Hold is the feedback adversary behind the bounded-SPF impossibility

@@ -88,11 +88,31 @@ func TestRegistryStrategiesDeterministicAndClamped(t *testing.T) {
 }
 
 func TestRegistryRejectsUnknown(t *testing.T) {
-	if _, err := New(Spec{Name: "chaotic"}); err == nil {
-		t.Fatal("unknown strategy accepted")
+	for _, spec := range []Spec{
+		{Name: "chaotic"},
+		{Name: "uniform", Params: map[string]float64{"step": 1}},
+		{Name: "hold", Params: map[string]float64{"tr": 0, "sigma": 1}},
+	} {
+		if _, err := New(spec); err == nil {
+			t.Errorf("New accepted %v", spec)
+		}
+		if err := Validate(spec); err == nil {
+			t.Errorf("Validate accepted %v", spec)
+		}
 	}
-	if _, err := New(Spec{Name: "uniform", Params: map[string]float64{"step": 1}}); err == nil {
-		t.Fatal("unknown parameter accepted")
+}
+
+func TestValidateAcceptsWithoutConstructing(t *testing.T) {
+	for _, name := range Names() {
+		if err := Validate(specFor(name, 3)); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	// Constructing a uniform strategy seeds a math/rand source; validating
+	// its spec must not.
+	spec := Spec{Name: "uniform", Seed: 3}
+	if allocs := testing.AllocsPerRun(10, func() { _ = Validate(spec) }); allocs != 0 {
+		t.Fatalf("Validate allocated %.0f times", allocs)
 	}
 }
 

@@ -53,7 +53,7 @@ func newSPFRef() (*spfRef, error) {
 	}
 	// The objectives render adversary=hold into their netlists; fail fast
 	// here if the registry ever drops or renames it.
-	if _, err := adversary.New(adversary.Spec{Name: "hold", Params: map[string]float64{"tr": 0, "tf": 0}}); err != nil {
+	if err := adversary.Validate(adversary.Spec{Name: "hold", Params: map[string]float64{"tr": 0, "tf": 0}}); err != nil {
 		return nil, err
 	}
 	return &spfRef{pair: pair, sys: sys}, nil

@@ -118,13 +118,17 @@ func runDigitalChain(p ChainParams, mk func() adversary.Strategy) ([]signal.Sign
 	if err != nil {
 		return nil, sim.RunStats{}, err
 	}
-	res, err := sim.Run(c, map[string]signal.Signal{"i": in}, sim.Options{Horizon: p.Horizon})
+	stages := make([]string, p.Stages)
+	for k := range stages {
+		stages[k] = fmt.Sprintf("n%d", k+1)
+	}
+	res, err := sim.Run(c, map[string]signal.Signal{"i": in}, sim.Options{Horizon: p.Horizon, Record: stages})
 	if err != nil {
 		return nil, sim.RunStats{}, err
 	}
 	out := make([]signal.Signal, p.Stages)
 	for k := 0; k < p.Stages; k++ {
-		out[k] = res.Signals[fmt.Sprintf("n%d", k+1)]
+		out[k] = res.Signals[stages[k]]
 	}
 	return out, res.Stats, nil
 }

@@ -56,7 +56,7 @@ func inertialLoopSettle(d, w, delta0, horizon float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := sim.Run(c, map[string]signal.Signal{"i": in}, sim.Options{Horizon: horizon})
+	res, err := sim.Run(c, map[string]signal.Signal{"i": in}, sim.Options{Horizon: horizon, Record: []string{"or"}})
 	if err != nil {
 		return 0, err
 	}

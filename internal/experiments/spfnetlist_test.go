@@ -33,7 +33,7 @@ func TestSPFNetlistMatchesBuild(t *testing.T) {
 			t.Fatalf("%s: sys.Build: %v", adv.name, err)
 		}
 		in := map[string]signal.Signal{spf.NodeIn: signal.MustPulse(1, 2*sys.Analysis.LockBound)}
-		opts := sim.Options{Horizon: 100}
+		opts := sim.Options{Horizon: 100, Record: []string{spf.NodeOr, spf.NodeHT}}
 		a, err := sim.Run(fromDoc, in, opts)
 		if err != nil {
 			t.Fatalf("%s: netlist run: %v", adv.name, err)

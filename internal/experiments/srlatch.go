@@ -100,7 +100,7 @@ func SRLatchRelease(eta adversary.Eta, offset float64, mk func() adversary.Strat
 		return SRLatchResult{}, err
 	}
 	res, err := sim.Run(c, map[string]signal.Signal{"s": s, "r": r},
-		sim.Options{Horizon: horizon, MaxEvents: 1 << 22})
+		sim.Options{Horizon: horizon, MaxEvents: 1 << 22, Record: []string{"nq"}})
 	if err != nil {
 		return SRLatchResult{}, err
 	}

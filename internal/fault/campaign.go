@@ -168,6 +168,19 @@ func (c *Campaign) probeNodes() []string {
 	return probes
 }
 
+// recordProbes returns opts set to record the probe nodes that c has. A
+// fault model may replace the circuit wholesale; a probe the run lacks
+// reads as the zero signal in Classify.
+func recordProbes(opts sim.Options, c *circuit.Circuit, probes []string) sim.Options {
+	opts.Record = make([]string, 0, len(probes))
+	for _, name := range probes {
+		if _, ok := c.Node(name); ok {
+			opts.Record = append(opts.Record, name)
+		}
+	}
+	return opts
+}
+
 // runScenario executes one scenario attempt with panic isolation: a panic
 // anywhere in instrumentation or simulation yields an aborted row, never a
 // crash. All scenario randomness derives from seed, so an attempt is
@@ -186,7 +199,7 @@ func (c *Campaign) runScenario(sc Scenario, seed int64, opts sim.Options, base *
 		row.Abort = AbortInstrument
 		return row
 	}
-	res, err := sim.Run(fc, fin, opts)
+	res, err := sim.Run(fc, fin, recordProbes(opts, fc, probes))
 	if err != nil {
 		row.Outcome = Aborted.String()
 		var ab *sim.AbortError

@@ -125,8 +125,10 @@ func (e *Engine) Run(ctx context.Context, scenarios []Scenario) (*Report, error)
 	}
 
 	simOpts := sim.Options{Horizon: c.Horizon, MaxEvents: c.MaxEvents, Deadline: c.Deadline, Context: ctx}
+	outputs := c.Circuit.Outputs()
+	probes := c.probeNodes()
 	_, baseSp := opts.Tracer.StartSpan(ctx, "baseline")
-	base, err := sim.Run(c.Circuit, c.Inputs, simOpts)
+	base, err := sim.Run(c.Circuit, c.Inputs, recordProbes(simOpts, c.Circuit, probes))
 	baseSp.End()
 	if err != nil {
 		if ctx.Err() != nil {
@@ -134,8 +136,6 @@ func (e *Engine) Run(ctx context.Context, scenarios []Scenario) (*Report, error)
 		}
 		return nil, fmt.Errorf("fault: baseline run failed: %w", err)
 	}
-	outputs := c.Circuit.Outputs()
-	probes := c.probeNodes()
 
 	rows := make([]Row, len(scenarios))
 	done := make([]bool, len(scenarios))

@@ -43,7 +43,8 @@ func runFault(t *testing.T, m Model, s Site) (*sim.Result, *sim.Result) {
 	t.Helper()
 	c := pipeline(t)
 	in := pipelineInputs()
-	base, err := sim.Run(c, in, sim.Options{Horizon: 20})
+	opts := sim.Options{Horizon: 20, Record: []string{"b1", "b2"}} // the probes
+	base, err := sim.Run(c, in, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func runFault(t *testing.T, m Model, s Site) (*sim.Result, *sim.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(fc, fin, sim.Options{Horizon: 20})
+	res, err := sim.Run(fc, fin, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

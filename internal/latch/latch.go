@@ -182,7 +182,7 @@ func (s *System) Capture(dataAt, enWidth float64, newStrategy func() adversary.S
 		}
 	}
 	res, err := sim.Run(c, map[string]signal.Signal{NodeD: d, NodeEn: en},
-		sim.Options{Horizon: horizon, MaxEvents: 1 << 22})
+		sim.Options{Horizon: horizon, MaxEvents: 1 << 22, Record: []string{NodeOr, NodeQ}})
 	if err != nil {
 		return Observation{}, err
 	}

@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -172,16 +173,16 @@ func Run(ctx context.Context, p Profile) (Result, error) {
 			defer wg.Done()
 			for spec := range arrivals {
 				start := time.Now()
-				verdict, cached, terminal := submitOnce(ctx, hc, p, spec)
+				ex := submitOnce(ctx, hc, p, spec)
 				lat := time.Since(start)
 				mu.Lock()
-				switch verdict {
+				switch ex.verdict {
 				case verdictAccepted:
 					res.Accepted++
-					if cached {
+					if ex.cached {
 						res.CacheHits++
 					}
-					if terminal == api.StatusCompleted {
+					if ex.status == api.StatusCompleted {
 						res.Completed++
 					} else {
 						res.Aborted++
@@ -196,7 +197,7 @@ func Run(ctx context.Context, p Profile) (Result, error) {
 				default:
 					res.Errors++
 				}
-				if verdict == verdictQuotaNoRetryAfter || verdict == verdictCapacityNoRetryAfter {
+				if ex.verdict == verdictQuotaNoRetryAfter || ex.verdict == verdictCapacityNoRetryAfter {
 					res.RetryAfterMissing++
 				}
 				mu.Unlock()
@@ -295,11 +296,19 @@ const (
 	verdictError
 )
 
+// exchange is one submit's classified outcome.
+type exchange struct {
+	verdict verdict
+	cached  bool       // accepted: answered from a cache tier
+	status  api.Status // accepted: the record's terminal status
+	err     error      // not accepted: the transport error, or the HTTP status and body
+}
+
 // submitOnce performs one wait=1 submit and classifies the exchange.
-func submitOnce(ctx context.Context, hc *http.Client, p Profile, spec submitSpec) (verdict, bool, api.Status) {
+func submitOnce(ctx context.Context, hc *http.Client, p Profile, spec submitSpec) exchange {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.Addr+"/v1/jobs?wait=1", bytes.NewReader(spec.body))
 	if err != nil {
-		return verdictError, false, ""
+		return exchange{verdict: verdictError, err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if spec.tenant != "" {
@@ -310,34 +319,41 @@ func submitOnce(ctx context.Context, hc *http.Client, p Profile, spec submitSpec
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		return verdictError, false, ""
+		return exchange{verdict: verdictError, err: err}
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
-		return verdictError, false, ""
+		return exchange{verdict: verdictError, err: fmt.Errorf("HTTP %s: reading the body: %w", resp.Status, err)}
+	}
+	withBody := func(v verdict) exchange {
+		body := strings.TrimSpace(string(raw))
+		if len(body) > 512 {
+			body = body[:512] + "…"
+		}
+		return exchange{verdict: v, err: fmt.Errorf("HTTP %s: %s", resp.Status, body)}
 	}
 	hasRetryAfter := resp.Header.Get("Retry-After") != ""
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode <= 299:
 		var rec api.Record
 		if err := json.Unmarshal(raw, &rec); err != nil {
-			return verdictLost, false, ""
+			return withBody(verdictLost)
 		}
 		if rec.Status != api.StatusCompleted && rec.Status != api.StatusAborted {
-			return verdictLost, false, ""
+			return withBody(verdictLost)
 		}
-		return verdictAccepted, rec.Cached, rec.Status
+		return exchange{verdict: verdictAccepted, cached: rec.Cached, status: rec.Status}
 	case resp.StatusCode == http.StatusTooManyRequests && hasRetryAfter:
-		return verdictQuota, false, ""
+		return withBody(verdictQuota)
 	case resp.StatusCode == http.StatusTooManyRequests:
-		return verdictQuotaNoRetryAfter, false, ""
+		return withBody(verdictQuotaNoRetryAfter)
 	case resp.StatusCode == http.StatusServiceUnavailable && hasRetryAfter:
-		return verdictCapacity, false, ""
+		return withBody(verdictCapacity)
 	case resp.StatusCode == http.StatusServiceUnavailable:
-		return verdictCapacityNoRetryAfter, false, ""
+		return withBody(verdictCapacityNoRetryAfter)
 	default:
-		return verdictError, false, ""
+		return withBody(verdictError)
 	}
 }
 
@@ -379,9 +395,9 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 func Calibrate(ctx context.Context, addr string, horizon float64, seed int64, timeout time.Duration) (time.Duration, error) {
 	p := Profile{Addr: addr, Timeout: timeout}.withDefaults()
 	start := time.Now()
-	v, _, _ := submitOnce(ctx, &http.Client{Timeout: p.Timeout}, p, submitSpec{body: submitBody(horizon, seed)})
-	if v != verdictAccepted {
-		return 0, fmt.Errorf("load: calibration submit refused (verdict %d)", v)
+	ex := submitOnce(ctx, &http.Client{Timeout: p.Timeout}, p, submitSpec{body: submitBody(horizon, seed)})
+	if ex.verdict != verdictAccepted {
+		return 0, fmt.Errorf("load: calibration submit refused: %w", ex.err)
 	}
 	return time.Since(start), nil
 }

@@ -2,7 +2,9 @@ package load
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,6 +122,22 @@ func TestCalibrateAndWidth(t *testing.T) {
 	}
 	if h.Width != 3 {
 		t.Fatalf("width = %d, want 3", h.Width)
+	}
+}
+
+func TestCalibrateReportsRefusal(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"lake: disk full"}`, http.StatusInternalServerError)
+	}))
+	addr := ts.URL
+	_, err := Calibrate(context.Background(), addr, 20, 1, 5*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "500 Internal Server Error") || !strings.Contains(err.Error(), "lake: disk full") {
+		t.Fatalf("refused calibration: err = %v, want the HTTP status and body", err)
+	}
+	ts.Close()
+	_, err = Calibrate(context.Background(), addr, 20, 1, 5*time.Second)
+	if err == nil || !strings.Contains(err.Error(), "connect") {
+		t.Fatalf("unreachable node: err = %v, want the transport error", err)
 	}
 }
 

@@ -371,7 +371,7 @@ func buildInvolutionModel(opts map[string]string, blend bool) (channel.Model, er
 			params = nil
 		}
 		spec := adversary.Spec{Name: advName, Seed: int64(seed), Params: params}
-		if _, err := adversary.New(spec); err != nil {
+		if err := adversary.Validate(spec); err != nil {
 			return nil, err
 		}
 		// Each channel instance gets fresh strategy state from the registry.

@@ -33,7 +33,7 @@ func TestParseSPF(t *testing.T) {
 	}
 	// The parsed circuit simulates: a long pulse locks the loop.
 	in := signal.MustPulse(0, 5)
-	res, err := sim.Run(c, map[string]signal.Signal{"i": in}, sim.Options{Horizon: 300})
+	res, err := sim.Run(c, map[string]signal.Signal{"i": in}, sim.Options{Horizon: 300, Record: []string{"or"}})
 	if err != nil {
 		t.Fatal(err)
 	}

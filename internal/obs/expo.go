@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -72,15 +71,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// WriteJSON writes the snapshot as an indented JSON array of samples —
-// the machine-readable twin of WritePrometheus, stable across calls for a
-// fixed registry state.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
-}
 
 // Handler returns an http.Handler serving the Prometheus text exposition —
 // mount it at /metrics next to net/http/pprof.

@@ -67,7 +67,7 @@ func TestInfoMetricAllExpositions(t *testing.T) {
 
 	// JSON: kind=info with labels.
 	var jsonBuf bytes.Buffer
-	if err := r.WriteJSON(&jsonBuf); err != nil {
+	if err := json.NewEncoder(&jsonBuf).Encode(r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var samples []Sample
@@ -131,7 +131,7 @@ func TestHistogramQuantilesInExpositions(t *testing.T) {
 	}
 
 	var jsonBuf bytes.Buffer
-	if err := r.WriteJSON(&jsonBuf); err != nil {
+	if err := json.NewEncoder(&jsonBuf).Encode(r.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var samples []Sample
@@ -232,7 +232,7 @@ func TestConcurrentScrapeAllFormats(t *testing.T) {
 					t.Error(err)
 				}
 				buf.Reset()
-				if err := r.WriteJSON(&buf); err != nil {
+				if err := json.NewEncoder(&buf).Encode(r.Snapshot()); err != nil {
 					t.Error(err)
 				}
 				if n := len(r.Snapshot()); n != 4 {

@@ -78,7 +78,7 @@ func TestSnapshotDeterministicOrder(t *testing.T) {
 	r.Histogram("m_hist", "", []float64{1})
 	var bufs [2]bytes.Buffer
 	for i := range bufs {
-		if err := r.WriteJSON(&bufs[i]); err != nil {
+		if err := json.NewEncoder(&bufs[i]).Encode(r.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
 	}

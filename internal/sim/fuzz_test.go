@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -133,24 +134,66 @@ func TestQuickRandomDAGSteadyStateAndDeterminism(t *testing.T) {
 	// 1. the simulation terminates without error,
 	// 2. two runs are bit-identical (determinism),
 	// 3. the final value of every gate equals its Boolean function applied
-	//    to the final values of its drivers (combinational steady state).
+	//    to the final values of its drivers (combinational steady state),
+	// 4. recording changes nothing but the result's node set: a default
+	//    run and a run recording a random subset of the nodes give the
+	//    same statistics, and every node either records matches the run
+	//    that records all nodes.
 	cfg := &quick.Config{MaxCount: 120}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c, _ := randomDAG(t, r)
 		in := randomStimuli(r, c)
-		res1, err := Run(c, in, Options{Horizon: 200})
+		all := allNodes(c)
+		res1, err := Run(c, in, Options{Horizon: 200, Record: all})
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		res2, err := Run(c, in, Options{Horizon: 200})
+		res2, err := Run(c, in, Options{Horizon: 200, Record: all})
 		if err != nil {
+			return false
+		}
+		if len(res1.Signals) != len(all) {
+			t.Logf("recorded %d of %d nodes", len(res1.Signals), len(all))
 			return false
 		}
 		for name := range res1.Signals {
 			if !res1.Signals[name].Equal(res2.Signals[name], 0) {
 				t.Logf("nondeterminism at %s", name)
+				return false
+			}
+		}
+		var subset []string
+		for _, name := range all {
+			if r.Intn(2) == 0 {
+				subset = append(subset, name)
+			}
+		}
+		for _, record := range [][]string{nil, subset} {
+			res, err := Run(c, in, Options{Horizon: 200, Record: record})
+			if err != nil {
+				t.Log(err)
+				return false
+			}
+			want := map[string]bool{}
+			for _, name := range append(c.Outputs(), record...) {
+				want[name] = true
+			}
+			if len(res.Signals) != len(want) {
+				t.Logf("record %v: got %d signals, want %d", record, len(res.Signals), len(want))
+				return false
+			}
+			for name := range want {
+				if !res.Signals[name].Equal(res1.Signals[name], 0) {
+					t.Logf("record %v: node %s differs from the all-nodes run", record, name)
+					return false
+				}
+			}
+			st, st1 := res.Stats, res1.Stats
+			st.Duration, st1.Duration = 0, 0
+			if res.Events != res1.Events || !reflect.DeepEqual(st, st1) {
+				t.Logf("record %v: stats %+v, all-nodes run %+v", record, st, st1)
 				return false
 			}
 		}
@@ -218,10 +261,11 @@ func FuzzSimRun(f *testing.F) {
 	})
 }
 
-// runChecked runs the circuit and checks the per-run invariants.
+// runChecked runs the circuit, recording every node, and checks the
+// per-run invariants.
 func runChecked(t *testing.T, c *circuit.Circuit, in map[string]signal.Signal, horizon float64) *Result {
 	t.Helper()
-	res, err := Run(c, in, Options{Horizon: horizon})
+	res, err := Run(c, in, Options{Horizon: horizon, Record: allNodes(c)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func TestEventBudgetClass(t *testing.T) {
 func TestDeadlineAborts(t *testing.T) {
 	c := oscillator(t)
 	start := time.Now()
-	_, err := Run(c, nil, Options{Horizon: 1e15, MaxEvents: 1 << 40, Deadline: 30 * time.Millisecond})
+	_, err := Run(c, nil, Options{Horizon: 1e15, MaxEvents: 1 << 30, Deadline: 30 * time.Millisecond})
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("want ErrDeadline, got %v", err)
@@ -259,7 +259,7 @@ func TestActionExtraSchedulesEcho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(c, map[string]signal.Signal{"i": in}, Options{Horizon: 10})
+	res, err := Run(c, map[string]signal.Signal{"i": in}, Options{Horizon: 10, Record: []string{"g"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 // model of Függer et al. It supports feedback loops, per-edge channel
 // state, transition cancellation (as performed by commercial simulators
 // that drop non-FIFO transitions), and records the full signal at every
-// node.
+// output port, watched node and node the caller names in Options.Record.
 package sim
 
 import (
@@ -48,6 +48,12 @@ type Options struct {
 	// early-abort verification of long executions (e.g. runt detection)
 	// without recording and post-processing full traces.
 	Watch map[string]Monitor
+	// Record names the nodes whose signals the result keeps beyond the
+	// output ports and the Watch nodes, which are always kept. Any node
+	// may be named: input ports, gates, or (redundantly) outputs. Other
+	// nodes keep only their latest transition while running and are
+	// absent from Result.Signals.
+	Record []string
 	// Observer, when non-nil, receives scheduler callbacks for every
 	// scheduled, delivered and canceled event, every finished delta cycle
 	// and every annihilated zero-width pulse. Leave nil for the fast path:
@@ -112,8 +118,9 @@ func (o *Options) setDefaults() error {
 
 // Result holds the outcome of a run.
 type Result struct {
-	// Signals maps every node name (ports and gates) to its recorded
-	// signal, truncated at the horizon.
+	// Signals maps each recorded node (every output port, every Watch
+	// node and every node named in Options.Record) to its signal,
+	// truncated at the horizon.
 	Signals map[string]signal.Signal
 	// Events is the number of delivered (non-canceled) events.
 	Events int
@@ -216,6 +223,7 @@ type nodeState struct {
 	touched bool    // queued for evaluation in the current round
 	watch   Monitor // Options.Watch entry, if any
 	watched bool    // already checked by the current watch pass
+	record  bool    // keep every transition and report the signal
 }
 
 type edgeState struct {
@@ -267,7 +275,8 @@ type stimulus struct {
 }
 
 // Run simulates the circuit with the given input-port signals up to the
-// horizon and returns the recorded signals of every node.
+// horizon and returns the signals of the output ports and of the nodes
+// named in opts.Watch and opts.Record.
 //
 // A panic raised while simulating (by a gate function, channel model or
 // adversary strategy) is recovered and returned as a *PanicError wrapped in
@@ -388,6 +397,25 @@ func newSimulation(c *circuit.Circuit, inputs map[string]signal.Signal, opts Opt
 			return nil, fmt.Errorf("sim: watch on unknown node %q", name)
 		}
 		s.nodes[i].watch = mon
+		s.nodes[i].record = true
+	}
+	for _, name := range opts.Record {
+		i, ok := index[name]
+		if !ok {
+			return nil, fmt.Errorf("sim: record of unknown node %q", name)
+		}
+		s.nodes[i].record = true
+	}
+	// An unrecorded node keeps only its latest transition, which is all the
+	// same-time annihilation check needs; those one-entry lists share one
+	// backing array.
+	last := make([]signal.Transition, nn)
+	for i := range s.nodes {
+		if ns := &s.nodes[i]; ns.node.Kind == circuit.KindOutput {
+			ns.record = true
+		} else if !ns.record {
+			ns.trs = last[i : i : i+1]
+		}
 	}
 
 	// Edges: endpoints by index, channel instances and pin initial values
@@ -609,9 +637,12 @@ func (s *simulation) run() (*Result, error) {
 	}
 
 	s.finalizeStats()
-	res := &Result{Signals: make(map[string]signal.Signal, len(s.nodes)), Events: s.count, Horizon: s.opts.Horizon, Stats: s.stats}
+	res := &Result{Signals: make(map[string]signal.Signal), Events: s.count, Horizon: s.opts.Horizon, Stats: s.stats}
 	for i := range s.nodes {
 		ns := &s.nodes[i]
+		if !ns.record {
+			continue
+		}
 		var initial signal.Value
 		switch ns.node.Kind {
 		case circuit.KindGate:
@@ -782,7 +813,11 @@ func (s *simulation) cancelLast(i int32, t float64) error {
 }
 
 // record appends a transition to node i, annihilating a same-time opposite
-// pair, and marks watched nodes for the post-delta watch pass.
+// pair, and marks watched nodes for the post-delta watch pass. An
+// unrecorded node's list holds at most the latest transition: two
+// consecutive transitions are never at the same time (they would have
+// annihilated), so the one before the latest can never take part in the
+// check.
 func (s *simulation) record(i int32, t float64, v signal.Value) {
 	ns := &s.nodes[i]
 	if ns.watch != nil {
@@ -795,6 +830,9 @@ func (s *simulation) record(i int32, t float64, v signal.Value) {
 			s.obs.Annihilation(ns.node.Name, t)
 		}
 		return
+	}
+	if !ns.record {
+		ns.trs = ns.trs[:0]
 	}
 	ns.trs = append(ns.trs, signal.Transition{At: t, To: v})
 }

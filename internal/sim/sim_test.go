@@ -38,6 +38,15 @@ func involutionModel(t *testing.T, eta adversary.Eta, strat func() adversary.Str
 	return m
 }
 
+// allNodes names every node of c, for runs that read internal nodes.
+func allNodes(c *circuit.Circuit) []string {
+	var names []string
+	for _, n := range c.Nodes() {
+		names = append(names, n.Name)
+	}
+	return names
+}
+
 // singleChannelCircuit builds i -> BUF g (through model m) -> o.
 func singleChannelCircuit(t *testing.T, m channel.Model) *circuit.Circuit {
 	t.Helper()
@@ -84,7 +93,7 @@ func TestMissingAndUnknownStimulus(t *testing.T) {
 func TestPureDelayPropagation(t *testing.T) {
 	c := singleChannelCircuit(t, pure(t, 2))
 	in := signal.MustPulse(1, 3)
-	res, err := Run(c, map[string]signal.Signal{"i": in}, Options{Horizon: 100})
+	res, err := Run(c, map[string]signal.Signal{"i": in}, Options{Horizon: 100, Record: []string{"i"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +212,7 @@ func TestGateInitialMismatchTransitionsAtZero(t *testing.T) {
 	_ = c.AddGate("n", gate.Not(), signal.Low)
 	_ = c.Connect("i", "n", 0, nil)
 	_ = c.Connect("n", "o", 0, nil)
-	res, err := Run(c, map[string]signal.Signal{"i": signal.Zero()}, Options{Horizon: 10})
+	res, err := Run(c, map[string]signal.Signal{"i": signal.Zero()}, Options{Horizon: 10, Record: []string{"n"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +237,7 @@ func TestORFeedbackLoopLocks(t *testing.T) {
 
 	pair := delay.MustExp(testExp)
 	long := signal.MustPulse(0, pair.UpLimit()*2)
-	res, err := Run(c, map[string]signal.Signal{"i": long}, Options{Horizon: 200})
+	res, err := Run(c, map[string]signal.Signal{"i": long}, Options{Horizon: 200, Record: []string{"or"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +249,7 @@ func TestORFeedbackLoopLocks(t *testing.T) {
 	// A short pulse leaves only the input pulse at the OR output (Lemma 4).
 	dmin, _ := pair.DeltaMin()
 	short := signal.MustPulse(0, (pair.UpLimit()-dmin)*0.5)
-	res, err = Run(c, map[string]signal.Signal{"i": short}, Options{Horizon: 200})
+	res, err = Run(c, map[string]signal.Signal{"i": short}, Options{Horizon: 200, Record: []string{"or"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +324,7 @@ func TestDeterminism(t *testing.T) {
 		_ = c.Connect("i", "or", 0, nil)
 		_ = c.Connect("or", "or", 1, involutionModel(t, adversary.Eta{Plus: 0.02, Minus: 0.02}, seqStrat))
 		_ = c.Connect("or", "o", 0, nil)
-		return Run(c, map[string]signal.Signal{"i": signal.MustPulse(0, 1.2)}, Options{Horizon: 50})
+		return Run(c, map[string]signal.Signal{"i": signal.MustPulse(0, 1.2)}, Options{Horizon: 50, Record: []string{"i", "or"}})
 	}
 	r1, err1 := mk()
 	r2, err2 := mk()

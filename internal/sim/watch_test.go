@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
-
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"involution/internal/channel"
@@ -17,6 +19,77 @@ func TestWatchUnknownNode(t *testing.T) {
 		Options{Horizon: 10, Watch: map[string]Monitor{"zz": func(float64, signal.Value) error { return nil }}})
 	if err == nil {
 		t.Fatal("unknown watch node must fail")
+	}
+}
+
+func TestRecordSelectsSignals(t *testing.T) {
+	c := singleChannelCircuit(t, pure(t, 1))
+	in := map[string]signal.Signal{"i": signal.MustPulse(1, 3)}
+	nop := func(float64, signal.Value) error { return nil }
+	for _, tc := range []struct {
+		opts Options
+		want []string
+	}{
+		{Options{Horizon: 10}, []string{"o"}},
+		{Options{Horizon: 10, Watch: map[string]Monitor{"g": nop}}, []string{"g", "o"}},
+		{Options{Horizon: 10, Record: []string{"i"}}, []string{"i", "o"}},
+		{Options{Horizon: 10, Record: []string{"o", "g"}, Watch: map[string]Monitor{"g": nop}}, []string{"g", "o"}},
+	} {
+		res, err := Run(c, in, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for name := range res.Signals {
+			got = append(got, name)
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("record %v, watch %d: signals of %v, want %v", tc.opts.Record, len(tc.opts.Watch), got, tc.want)
+		}
+	}
+	if _, err := Run(c, in, Options{Horizon: 10, Record: []string{"zz"}}); err == nil || !strings.Contains(err.Error(), `"zz"`) {
+		t.Fatalf("unknown record node: err = %v", err)
+	}
+}
+
+// TestUnrecordedNodeAnnihilates checks that an unrecorded internal node
+// still annihilates a same-time pulse: a = i AND NOT i rises and falls
+// again within the delta cycles of each rising input edge.
+func TestUnrecordedNodeAnnihilates(t *testing.T) {
+	c := circuit.New("hazard")
+	for _, err := range []error{
+		c.AddInput("i"),
+		c.AddOutput("o"),
+		c.AddGate("n", gate.Not(), signal.High),
+		c.AddGate("a", gate.And(2), signal.Low),
+		c.AddGate("b", gate.Buf(), signal.Low),
+		c.Connect("i", "n", 0, nil),
+		c.Connect("i", "a", 0, nil),
+		c.Connect("n", "a", 1, nil),
+		c.Connect("a", "b", 0, pure(t, 1)),
+		c.Connect("b", "o", 0, nil),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	in := map[string]signal.Signal{"i": signal.MustPulse(1, 2)}
+	all, err := Run(c, in, Options{Horizon: 10, Record: allNodes(c)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := Run(c, in, Options{Horizon: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.Stats.Annihilated == 0 || !all.Signals["a"].IsZero() {
+		t.Fatalf("a = %v with %d annihilations, want the hazard annihilated", all.Signals["a"], all.Stats.Annihilated)
+	}
+	all.Stats.Duration, def.Stats.Duration = 0, 0
+	if !reflect.DeepEqual(all.Stats, def.Stats) || !all.Signals["o"].Equal(def.Signals["o"], 0) {
+		t.Fatalf("default run: o = %v, %+v; all nodes recorded: o = %v, %+v",
+			def.Signals["o"], def.Stats, all.Signals["o"], all.Stats)
 	}
 }
 

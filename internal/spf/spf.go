@@ -166,8 +166,9 @@ func (s *System) Build(newStrategy func() adversary.Strategy) (*circuit.Circuit,
 }
 
 // RunPulse simulates the SPF circuit for an input pulse of length delta0 at
-// time 0 under the given loop adversary and returns the recorded signals.
-func (s *System) RunPulse(delta0 float64, newStrategy func() adversary.Strategy, horizon float64) (*sim.Result, error) {
+// time 0 under the given loop adversary and returns the signals of NodeOut,
+// NodeOr and the further nodes named in record.
+func (s *System) RunPulse(delta0 float64, newStrategy func() adversary.Strategy, horizon float64, record ...string) (*sim.Result, error) {
 	c, err := s.Build(newStrategy)
 	if err != nil {
 		return nil, err
@@ -181,8 +182,10 @@ func (s *System) RunPulse(delta0 float64, newStrategy func() adversary.Strategy,
 	} else {
 		in = signal.Zero()
 	}
-	return sim.Run(c, map[string]signal.Signal{NodeIn: in},
-		sim.Options{Horizon: horizon, MaxEvents: 1 << 22, Observer: s.Observer, Context: s.Context})
+	return sim.Run(c, map[string]signal.Signal{NodeIn: in}, sim.Options{
+		Horizon: horizon, MaxEvents: 1 << 22, Observer: s.Observer, Context: s.Context,
+		Record: append([]string{NodeOr}, record...),
+	})
 }
 
 // Observation classifies the simulated OR-loop output of one run.

@@ -113,7 +113,7 @@ func TestWriteVCDGolden(t *testing.T) {
 		}
 	}
 	in := signal.MustPulse(1, 4)
-	res, err := sim.Run(c, map[string]signal.Signal{"i": in}, sim.Options{Horizon: 10})
+	res, err := sim.Run(c, map[string]signal.Signal{"i": in}, sim.Options{Horizon: 10, Record: []string{"i", "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}

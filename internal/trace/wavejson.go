@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"involution/internal/signal"
@@ -18,10 +19,14 @@ func WriteWaveJSON(w io.Writer, signals map[string]signal.Signal, tick, horizon 
 	if tick <= 0 || horizon <= 0 {
 		return fmt.Errorf("trace: tick %g and horizon %g must be positive", tick, horizon)
 	}
-	n := int(horizon/tick) + 1
-	if n > 1<<20 {
-		return fmt.Errorf("trace: %d ticks exceed the WaveJSON budget; increase the tick size", n)
+	// Compare in float64, before any conversion: the tick count can
+	// overflow int on 32-bit hosts, and a NaN or infinite one never fits.
+	const budget = 1 << 20
+	ticks := math.Floor(horizon/tick) + 1
+	if !(ticks <= budget) {
+		return fmt.Errorf("trace: %.0f ticks exceed the WaveJSON budget of %d; increase the tick size", ticks, budget)
 	}
+	n := int(ticks)
 	names := make([]string, 0, len(signals))
 	for name := range signals {
 		names = append(names, name)
